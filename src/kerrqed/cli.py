@@ -38,17 +38,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .dephasing import (
-    DephasingParams,
-    gamma_linear,
-    gamma_nonlinear_analytic,
-    thermal_occupation,
-)
+from .dephasing import DephasingParams, gamma_closed_form, thermal_occupation
 from .dispersive import cpt_shifts, mixed_model_shifts
 from .diagnostics import overlap_scan as _overlap_scan
 from .errors import KerrqedError
 from .models import CptParams, MixedCouplingParams, build_mixed_spin_boson
-from .readout import ReadoutConfig, integrate_trajectory
+from .readout import ReadoutConfig, integrate_trajectory, read_at
 from .units import UnitError, parse_quantity
 
 JOBS_ENV_VAR = "KERRQED_JOBS"
@@ -249,14 +244,8 @@ def _point_cpt_sweep(p):
 def _point_dephasing_curve(p):
     n_th = thermal_occupation(p["nu_r"], p["T"])
     dp = DephasingParams(kappa=p["kappa"], chi=p["chi"], chi_prime=p["chi_prime"], n_th=n_th)
-    g_lin = gamma_linear(dp).gamma
-    g_nl = gamma_nonlinear_analytic(dp).gamma
-    if p["combine"]:
-        total = g_lin + g_nl
-    else:
-        total = g_nl if p["chi"] == 0.0 else g_lin
-    t_phi = math.inf if total == 0.0 else 1.0 / total
-    return {"n_th": n_th, "gamma_per_s": total, "T_phi_s": t_phi}
+    res = gamma_closed_form(dp, p["combine"])
+    return {"n_th": n_th, "gamma_per_s": res.gamma, "T_phi_s": res.t_phi}
 
 
 def _point_kappa_sweep(p):
@@ -268,12 +257,7 @@ def _point_kappa_sweep(p):
         n_steady=p["n_steady"],
         t_end=p["tau"],
     )
-    traj = integrate_trajectory(cfg)
-    return {
-        "snr": float(traj.snr[-1]),
-        "error": float(traj.error[-1]),
-        "n_final": float(abs(traj.alpha0[-1]) ** 2),
-    }
+    return read_at(integrate_trajectory(cfg), p["tau"])
 
 
 POINT_FUNCS = {
@@ -522,9 +506,6 @@ def build_parser():
     )
     p_run.add_argument(
         "--keep-going", action="store_true", help="record per-point failures instead of exiting 2"
-    )
-    p_run.add_argument(
-        "--seed", type=int, default=None, help="reserved; all computations are deterministic"
     )
     sub.add_parser("list", help="list available experiments")
     return parser

@@ -1,4 +1,4 @@
-"""Physical constants (CODATA 2018) and unit helpers."""
+"""Physical constants (CODATA 2018)."""
 
 import math
 
@@ -8,13 +8,3 @@ PLANCK_H = 6.62607015e-34
 BOLTZMANN_K = 1.380649e-23
 
 TWO_PI = 2.0 * math.pi
-
-
-def to_angular(nu_hz):
-    """Linear frequency (Hz) -> angular frequency (rad/s)."""
-    return TWO_PI * nu_hz
-
-
-def to_linear(omega):
-    """Angular frequency (rad/s) -> linear frequency (Hz)."""
-    return omega / TWO_PI

@@ -13,6 +13,7 @@ import numpy as np
 
 from .constants import BOLTZMANN_K, PLANCK_H, TWO_PI
 from .errors import ConvergenceError
+from .ode import rk4
 
 
 @dataclass(frozen=True)
@@ -113,24 +114,16 @@ def z_trajectory(p: DephasingParams, t_end: float, dt: float, model: str = "cubi
         raise ValueError(f"dt = {dt:.3e} s violates dt <= 1/(50 kappa) = {1.0/(50.0*ka):.3e} s")
     steps = max(1, int(round(t_end / dt)))
     times = np.arange(steps + 1) * dt
-    Z = np.zeros(steps + 1, dtype=complex)
-    mu = np.zeros(steps + 1, dtype=complex)
 
     def f(state):
         z, _ = state
         return np.array([_z_rhs(z, ka, cpa, n_th, model), -cpa * z**2])
 
-    y = np.array([0.0 + 0j, 0.0 + 0j])
-    for k in range(steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def check(k, y):
         if abs(y[0]) > 1e3:
-            raise ConvergenceError(f"|Z| diverged at t = {times[k + 1]:.3e} s")
-        Z[k + 1] = y[0]
-        mu[k + 1] = y[1]
+            raise ConvergenceError(f"|Z| diverged at t = {times[k]:.3e} s")
+
+    Z, mu = rk4(f, np.array([0.0 + 0j, 0.0 + 0j]), dt, steps, check).T
     return ZTrajectory(times=times, Z=Z, mu=mu)
 
 
@@ -195,6 +188,19 @@ def gamma_ode(
     return gamma_from_Z(Z_ss, p.chi_prime, method=f"ode_{model}")
 
 
+def gamma_closed_form(p: DephasingParams, combine: bool = True) -> DephasingResult:
+    """Closed-form shot-noise rate: combine=True sums the linear and
+    nonlinear laws; otherwise only the law whose coupling is nonzero
+    contributes (the nonlinear one at chi = 0)."""
+    g_lin = gamma_linear(p).gamma
+    g_nl = gamma_nonlinear_analytic(p).gamma
+    if combine:
+        gamma = g_lin + g_nl
+    else:
+        gamma = g_nl if p.chi == 0.0 else g_lin
+    return DephasingResult(gamma=gamma, delta=0.0, method="closed_form")
+
+
 def dephasing_curve(
     chi: float,
     chi_prime: float,
@@ -203,24 +209,14 @@ def dephasing_curve(
     T_range,
     combine: bool = True,
 ):
-    """(T, T_phi) rows for a temperature sweep.
-
-    combine=True sums the linear and nonlinear closed-form rates; otherwise
-    only the law whose coupling is nonzero contributes.
-    """
+    """(T, T_phi) rows for a temperature sweep of gamma_closed_form."""
     T_vals = list(T_range)
     if any(t <= 0 for t in T_vals) or any(b < a for a, b in zip(T_vals, T_vals[1:])):
         raise ValueError("temperatures must be positive and ascending")
     rows = []
     for T in T_vals:
-        n_th = thermal_occupation(nu_r, T)
-        params = DephasingParams(kappa=kappa, chi=chi, chi_prime=chi_prime, n_th=n_th)
-        g_lin = gamma_linear(params).gamma
-        g_nl = gamma_nonlinear_analytic(params).gamma
-        if combine:
-            total = g_lin + g_nl
-        else:
-            total = g_nl if chi == 0.0 else g_lin
-        t_phi = math.inf if total == 0.0 else 1.0 / total
-        rows.append((T, t_phi))
+        params = DephasingParams(
+            kappa=kappa, chi=chi, chi_prime=chi_prime, n_th=thermal_occupation(nu_r, T)
+        )
+        rows.append((T, gamma_closed_form(params, combine).t_phi))
     return rows

@@ -20,6 +20,7 @@ from scipy.special import erfc
 
 from .constants import TWO_PI
 from .errors import ConvergenceError
+from .ode import rk4
 
 # One-time calibration constant of the unspecified SNR normalization; frozen.
 SNR_PREFACTOR = 1.0
@@ -140,29 +141,15 @@ def steady_state_amplitude(cfg: ReadoutConfig, sigma_z: int, epsilon: float | No
 
 
 def calibrate_drive(cfg: ReadoutConfig) -> float:
-    """Bisection on eps > 0 so that |alpha_ss(sigma_z=+1)|^2 = n_steady."""
-    ka = cfg.kappa_angular
+    """Drive eps > 0 with |alpha_ss(sigma_z=+1)|^2 = n_steady.
 
-    def photon_number(eps):
-        return abs(steady_state_amplitude(cfg, +1, epsilon=eps)) ** 2
-
-    lo = 0.0
-    hi = 0.5 * ka * np.sqrt(cfg.n_steady)  # exact for the linear model
-    cap = 100.0 * ka * np.sqrt(cfg.n_steady)
-    while photon_number(hi) < cfg.n_steady:
-        hi *= 2.0
-        if hi > cap:
-            raise ConvergenceError("no bracketing drive amplitude below the cap")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if photon_number(mid) < cfg.n_steady:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * hi:
-            break
-    eps = 0.5 * (lo + hi)
-    if abs(photon_number(eps) - cfg.n_steady) > 1e-6 * cfg.n_steady:
+    At steady state eps = sqrt(n) |kappa/2 + i (chi' n + chi)| exactly; the
+    continuation root at that eps must hold n_steady photons, otherwise
+    continuation has left the branch (bistable drive).
+    """
+    n = cfg.n_steady
+    eps = np.sqrt(n) * np.hypot(0.5 * cfg.kappa_angular, TWO_PI * (cfg.chi_prime * n + cfg.chi))
+    if abs(abs(steady_state_amplitude(cfg, +1, epsilon=eps)) ** 2 - n) > 1e-6 * n:
         raise ConvergenceError("drive calibration missed the target photon number")
     return eps
 
@@ -173,27 +160,22 @@ def integrate_trajectory(cfg: ReadoutConfig) -> ReadoutTrajectory:
     dt = cfg.step
     steps = max(1, int(round(cfg.t_end / dt)))
     times = np.arange(steps + 1) * dt
-    branches = []
     limit = 2.0 * cfg.n_steady
-    for sz in (+1, -1):
-        al = 0.0 + 0.0j
-        series = np.zeros(steps + 1, dtype=complex)
-        for k in range(steps):
-            k1 = rhs(al, sz, cfg, epsilon=eps)
-            k2 = rhs(al + 0.5 * dt * k1, sz, cfg, epsilon=eps)
-            k3 = rhs(al + 0.5 * dt * k2, sz, cfg, epsilon=eps)
-            k4 = rhs(al + dt * k3, sz, cfg, epsilon=eps)
-            al = al + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if abs(al) ** 2 > limit:
-                raise ConvergenceError(
-                    f"runaway amplitude |alpha|^2 = {abs(al)**2:.2f} > 2 n_steady"
-                )
-            series[k + 1] = al
-        branches.append(series)
+
+    def check(k, al):
+        if abs(al) ** 2 > limit:
+            raise ConvergenceError(
+                f"runaway amplitude |alpha|^2 = {abs(al)**2:.2f} > 2 n_steady"
+            )
+
+    def branch(sz):
+        return rk4(lambda al: rhs(al, sz, cfg, epsilon=eps), 0.0 + 0.0j, dt, steps, check)
+
+    alpha0, alpha1 = branch(+1), branch(-1)
     traj = ReadoutTrajectory(
         times=times,
-        alpha0=branches[0],
-        alpha1=branches[1],
+        alpha0=alpha0,
+        alpha1=alpha1,
         snr=np.zeros(steps + 1),
         error=np.full(steps + 1, 0.5),
         kappa=cfg.kappa,
@@ -223,6 +205,17 @@ def output_field(traj: ReadoutTrajectory, branch: int = 0) -> np.ndarray:
     return alpha_in + np.sqrt(ka) * alpha
 
 
+def read_at(traj: ReadoutTrajectory, tau: float) -> dict:
+    """SNR and error at the first grid time >= tau (else the last), and the
+    sigma_z = +1 photon number at the end of the trajectory."""
+    i = min(int(np.searchsorted(traj.times, tau)), len(traj.times) - 1)
+    return {
+        "snr": float(traj.snr[i]),
+        "error": float(traj.error[i]),
+        "n_final": float(abs(traj.alpha0[-1]) ** 2),
+    }
+
+
 def error_curve_sweep(cfg: ReadoutConfig, sweep_param: str, values, tau: float | None = None):
     """Recalibrate and integrate per sweep point; returns a list of row dicts.
 
@@ -238,12 +231,7 @@ def error_curve_sweep(cfg: ReadoutConfig, sweep_param: str, values, tau: float |
         row = {sweep_param: v, "error": None, "snr": None, "n_final": None, "failed": ""}
         try:
             point = replace(cfg, **{sweep_param: v}, epsilon=None)
-            traj = integrate_trajectory(point)
-            i = int(np.searchsorted(traj.times, tau))
-            i = min(i, len(traj.times) - 1)
-            row["error"] = float(traj.error[i])
-            row["snr"] = float(traj.snr[i])
-            row["n_final"] = float(abs(traj.alpha0[-1]) ** 2)
+            row.update(read_at(integrate_trajectory(point), tau))
         except (ConvergenceError, ValueError) as exc:
             row["failed"] = str(exc)
         rows.append(row)

@@ -59,12 +59,3 @@ def parse_time(text) -> float:
 
 def parse_temperature(text) -> float:
     return parse_quantity(text, "temperature")
-
-
-def format_frequency(value_hz: float) -> str:
-    """Human-readable frequency with the largest unit keeping |value| >= 1."""
-    for unit in ("GHz", "MHz", "kHz"):
-        scale = FREQUENCY_UNITS[unit]
-        if abs(value_hz) >= scale:
-            return f"{value_hz / scale:g} {unit}"
-    return f"{value_hz:g} Hz"

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from kerrqed.cli import ConfigError, list_experiments, load_config, main, run
+from kerrqed.dephasing import dephasing_curve
+from kerrqed.readout import ReadoutConfig, error_curve_sweep
 from kerrqed.units import (
     UnitError,
     parse_frequency,
@@ -206,6 +208,57 @@ class TestRun:
         temps = [float(r[0]) for r in rows]
         ratios = [b / a for a, b in zip(temps, temps[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+
+
+class TestLibraryAgreement:
+    """A CLI sweep row equals the library's row for the same point."""
+
+    def test_kappa_sweep_matches_error_curve_sweep(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "kappa_sweep",
+                "params": {
+                    "chi": "0.2 MHz", "chi_prime": "0.1 MHz", "n_steady": 15, "tau": "200 ns"
+                },
+                "grid": [{"name": "kappa", "start": "2 MHz", "stop": "5 MHz", "count": 3}],
+            },
+        )
+        out = tmp_path / "kappa.csv"
+        assert run(path, out_path=str(out), fmt="csv") == 0
+        columns, rows = read_rows(out)
+        p = load_config(path)["params"]
+        cfg = ReadoutConfig(
+            kappa=p["kappa"], chi=p["chi"], chi_prime=p["chi_prime"], eta=p["eta"],
+            n_steady=p["n_steady"], t_end=p["tau"],
+        )
+        kappas = [float(r[0]) for r in rows]
+        lib = error_curve_sweep(cfg, "kappa", kappas, tau=p["tau"])
+        for row, want in zip(rows, lib):
+            got = dict(zip(columns, row))
+            assert want["failed"] == got["fail"] == ""
+            for key in ("snr", "error", "n_final"):
+                assert float(got[key]) == want[key]
+
+    def test_dephasing_curve_matches_library(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "dephasing_curve",
+                "params": {
+                    "chi": "0.5 MHz", "chi_prime": "1 MHz", "kappa": "3 MHz", "nu_r": "7 GHz"
+                },
+                "grid": [{"name": "T", "start": "20 mK", "stop": "200 mK", "count": 4}],
+            },
+        )
+        out = tmp_path / "deph.csv"
+        assert run(path, out_path=str(out), fmt="csv") == 0
+        columns, rows = read_rows(out)
+        p = load_config(path)["params"]
+        temps = [float(r[0]) for r in rows]
+        lib = dephasing_curve(p["chi"], p["chi_prime"], p["kappa"], p["nu_r"], temps)
+        t_phi = columns.index("T_phi_s")
+        assert [float(r[t_phi]) for r in rows] == [t for _, t in lib]
 
 
 class TestMain:

@@ -15,6 +15,7 @@ from kerrqed.dephasing import (
     z_quadratic_analytic,
     z_trajectory,
 )
+from kerrqed.errors import ConvergenceError
 
 
 class TestParams:
@@ -89,6 +90,12 @@ class TestZOde:
         p = DephasingParams(kappa=3e6, chi_prime=0.1e6, n_th=1e-3)
         with pytest.raises(ValueError):
             z_trajectory(p, t_end=1e-6, dt=1e-10, model="quartic")
+
+    def test_divergence_guard(self):
+        p = DephasingParams(kappa=1e6, chi_prime=10e6, n_th=100)
+        ka = 2 * math.pi * p.kappa
+        with pytest.raises(ConvergenceError, match=r"\|Z\| diverged at t = 6\.366e-09 s"):
+            z_trajectory(p, t_end=5 / ka, dt=1 / (100 * ka), model="cubic")
 
     def test_quadratic_matches_closed_form(self):
         p = DephasingParams(kappa=3e6, chi_prime=1e6, n_th=1e-2)

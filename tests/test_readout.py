@@ -69,8 +69,21 @@ class TestSteadyState:
 
 
 class TestCalibration:
-    def test_targets_photon_number(self):
-        cfg = config()
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"chi": 0.4e6},
+            {"chi": -0.3e6},
+            {"chi_prime": -0.1e6},
+            {"chi": 0.4e6, "chi_prime": -0.05e6},
+            # chi + chi' n crosses zero below n_steady: the bistable window
+            {"kappa": 1e6, "chi": -1e6, "chi_prime": 0.05e6, "n_steady": 40.0},
+        ],
+        ids=["base", "chi_pos", "chi_neg", "kerr_neg", "chi_pos_kerr_neg", "bistable"],
+    )
+    def test_targets_photon_number(self, overrides):
+        cfg = config(**overrides)
         eps = calibrate_drive(cfg)
         al = steady_state_amplitude(cfg, +1, epsilon=eps)
         assert abs(al) ** 2 == pytest.approx(cfg.n_steady, rel=1e-6)
