@@ -47,11 +47,9 @@ from .qspace import (
     Boson,
     Charge,
     HilbertSpace,
-    OperatorMatrix,
     SpinHalf,
     eigendecompose,
     fidelity,
-    reduced_qubit_state,
 )
 from .readout import (
     ReadoutConfig,
@@ -76,7 +74,6 @@ __all__ = [
     "KerrqedError",
     "LabelingError",
     "MixedCouplingParams",
-    "OperatorMatrix",
     "OverlapScan",
     "ReadoutConfig",
     "ReadoutTrajectory",
@@ -105,7 +102,6 @@ __all__ = [
     "mixed_model_spectrum",
     "mixed_shift_grid",
     "overlap_scan",
-    "reduced_qubit_state",
     "steady_state_amplitude",
     "thermal_occupation",
     "z_quadratic_analytic",

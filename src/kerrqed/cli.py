@@ -304,10 +304,9 @@ def _rows_readout_sim(p):
 
 def _rows_overlap_scan(p):
     mp = MixedCouplingParams(p["nu_q"], p["nu_r"], p["g_X"], p["g_P"], p["n_max"])
-    H = build_mixed_spin_boson(mp)
     scan = _overlap_scan(
-        H,
-        H.space,
+        build_mixed_spin_boson(mp),
+        mp.space(),
         q_list=list(p["q_list"]),
         q_prime_list=list(p["q_prime_list"]),
         n_max_scan=p["n_max_scan"],
@@ -370,11 +369,7 @@ def load_config(path):
 def _fmt_cell(v):
     if v is None:
         return ""
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def write_csv(path, columns, rows, metadata):
@@ -392,8 +387,9 @@ def write_csv(path, columns, rows, metadata):
 
 def write_json(path, columns, rows, metadata):
     def clean(v):
-        if isinstance(v, float) and math.isinf(v):
-            return "inf"
+        """Strict JSON has no NaN or infinity: NaN -> null, +-inf -> "inf"/"-inf"."""
+        if isinstance(v, float) and not math.isfinite(v):
+            return None if math.isnan(v) else repr(v)
         return v
 
     doc = {
@@ -401,7 +397,7 @@ def write_json(path, columns, rows, metadata):
         "columns": list(columns),
         "rows": [[clean(v) for v in row] for row in rows],
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

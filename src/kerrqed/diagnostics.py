@@ -15,7 +15,7 @@ import numpy as np
 
 from .dispersive import DEFAULT_OVERLAP_FLOOR, DressedSpectrum, label_dressed_states
 from .errors import LabelingError
-from .qspace import Boson, HilbertSpace, OperatorMatrix, eigendecompose, fidelity, reduced_state
+from .qspace import Boson, HilbertSpace, eigendecompose, fidelity, reduced_state
 
 FIDELITY_JUMP_THRESHOLD = 0.5
 
@@ -37,7 +37,7 @@ def _reduced_qubit(ds: DressedSpectrum, q: int, n: int) -> np.ndarray:
 
 
 def overlap_scan(
-    H: OperatorMatrix,
+    H: np.ndarray,
     space: HilbertSpace,
     q_list,
     q_prime_list,

@@ -92,7 +92,7 @@ def label_dressed_states(
     if qubit_vectors is None:
         if dq != 2:
             raise ValueError("qubit_vectors required for non-spin qubit factors")
-        qubit_vectors = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        qubit_vectors = np.array([[0.0, 1.0], [1.0, 0.0]])
     if qubit_energies is None:
         qubit_energies = np.arange(q_levels, dtype=float)
     if boson_freq is None:
@@ -107,8 +107,9 @@ def label_dressed_states(
     unassigned = []
     used = set()
     V = es.vectors
+    fock = np.eye(db)
     for _, q, n in order:
-        bare = np.kron(qubit_vectors[:, q], np.eye(db, dtype=complex)[n])
+        bare = np.kron(qubit_vectors[:, q], fock[n])
         overlaps = np.abs(bare.conj() @ V) ** 2
         best = None
         for k in np.argsort(-overlaps):
@@ -155,11 +156,10 @@ def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
 
 def mixed_model_spectrum(p: MixedCouplingParams, n_levels: int = 3, overlap_floor: float = DEFAULT_OVERLAP_FLOOR) -> DressedSpectrum:
     """Diagonalize the minimal mixed model and label dressed states."""
-    H = build_mixed_spin_boson(p)
-    es = eigendecompose(H)
+    es = eigendecompose(build_mixed_spin_boson(p))
     return label_dressed_states(
         es,
-        H.space,
+        p.space(),
         q_levels=2,
         n_levels=n_levels,
         qubit_energies=np.array([-0.5 * p.nu_q, 0.5 * p.nu_q]) * TWO_PI,
@@ -182,16 +182,11 @@ def chi_prime_noise_floor(p: MixedCouplingParams, guard: int = 5) -> float:
 
 def mixed_shift_grid(nu_q, nu_r, g_X_values, g_P_values, n_max):
     """chi and chi' (Hz) over a (g_X, g_P) grid; arrays indexed [i_gX, i_gP]."""
-    import warnings as _w
-
     chi = np.empty((len(g_X_values), len(g_P_values)))
     chip = np.empty_like(chi)
     for i, gx in enumerate(g_X_values):
         for j, gp in enumerate(g_P_values):
-            with _w.catch_warnings():
-                _w.simplefilter("ignore")
-                p = MixedCouplingParams(nu_q, nu_r, gx, gp, n_max)
-                rep = mixed_model_shifts(p)
+            rep = mixed_model_shifts(MixedCouplingParams(nu_q, nu_r, gx, gp, n_max))
             chi[i, j] = rep.chi
             chip[i, j] = rep.chi_prime
     return chi, chip
@@ -199,12 +194,11 @@ def mixed_shift_grid(nu_q, nu_r, g_X_values, g_P_values, n_max):
 
 def cpt_spectrum(p: CptParams, q_levels: int = 3, n_levels: int = 3, overlap_floor: float = DEFAULT_OVERLAP_FLOOR) -> DressedSpectrum:
     """Diagonalize the full CPT model; bare qubit basis = island eigenstates."""
-    H = build_cpt_hamiltonian(p)
-    es = eigendecompose(H)
+    es = eigendecompose(build_cpt_hamiltonian(p))
     ei, vi = np.linalg.eigh(cpt_island_hamiltonian(p))
     return label_dressed_states(
         es,
-        H.space,
+        p.space(),
         q_levels=q_levels,
         n_levels=n_levels,
         qubit_vectors=vi,

@@ -14,15 +14,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import DegeneratePointError
-from .qspace import (
-    Boson,
-    Charge,
-    HilbertSpace,
-    OperatorMatrix,
-    SpinHalf,
-    annihilation,
-    pauli,
-)
+from .qspace import Boson, Charge, HilbertSpace, SpinHalf, annihilation, pauli
 
 
 @dataclass(frozen=True)
@@ -55,44 +47,42 @@ class MixedCouplingParams:
         return HilbertSpace((SpinHalf(), Boson(self.n_max)))
 
 
-def build_mixed_spin_boson(p: MixedCouplingParams) -> OperatorMatrix:
-    """H/hbar = (w_q/2) s_z + w_r a+a + g_X s_x X + g_P s_y P  on SpinHalf x Boson."""
-    space = p.space()
-    a = annihilation(p.n_max).matrix
-    ad = a.conj().T
-    X = ad + a
-    P = 1j * (ad - a)
-    n_op = ad @ a
-    sx, sy, sz = (pauli(ax).matrix for ax in "xyz")
-    I2 = np.eye(2, dtype=complex)
-    Ib = np.eye(p.n_max + 1, dtype=complex)
+def build_mixed_spin_boson(p: MixedCouplingParams) -> np.ndarray:
+    """H/hbar = (w_q/2) s_z + w_r a+a + g_X s_x X + g_P s_y P  on SpinHalf x Boson.
+
+    Real symmetric: s_y P = (i s_y) (a+ - a) with i s_y = [[0, 1], [-1, 0]].
+    """
+    a = annihilation(p.n_max)
+    ad = a.T
+    sx, sz = pauli("x").real, pauli("z").real
+    isy = (1j * pauli("y")).real
+    Ib = np.eye(p.n_max + 1)
 
     wq, wr = TWO_PI * p.nu_q, TWO_PI * p.nu_r
     gx, gp = TWO_PI * p.g_X, TWO_PI * p.g_P
-    H = (
+    return (
         0.5 * wq * np.kron(sz, Ib)
-        + wr * np.kron(I2, n_op)
-        + gx * np.kron(sx, X)
-        + gp * np.kron(sy, P)
+        + wr * np.kron(np.eye(2), ad @ a)
+        + gx * np.kron(sx, ad + a)
+        + gp * np.kron(isy, ad - a)
     )
-    return OperatorMatrix(space, H)
 
 
 def build_synthetic_dispersive(
     chi: float, chi_prime: float, nu_r: float, nu_q: float, n_max: int
-) -> OperatorMatrix:
-    """Reference Hamiltonian, diagonal in the product basis:
+) -> np.ndarray:
+    """Reference Hamiltonian, diagonal in the product basis (real) on
+    SpinHalf x Boson(n_max):
     H/hbar = (w_q/2) s_z + w_r a+a + chi s_z a+a + chi' s_z a+a+aa."""
     if n_max < 3:
         raise ValueError("Kerr extraction needs n_max >= 3")
-    space = HilbertSpace((SpinHalf(), Boson(n_max)))
     n = np.arange(n_max + 1, dtype=float)
     wq, wr = TWO_PI * nu_q, TWO_PI * nu_r
     ca, cpa = TWO_PI * chi, TWO_PI * chi_prime
     diag = []
     for s in (+1.0, -1.0):
         diag.append(0.5 * wq * s + wr * n + ca * s * n + cpa * s * n * (n - 1))
-    return OperatorMatrix(space, np.diag(np.concatenate(diag)).astype(complex))
+    return np.diag(np.concatenate(diag))
 
 
 @dataclass(frozen=True)
@@ -176,8 +166,8 @@ def _island_operators(p: CptParams):
 
 def _resonator_operators(p: CptParams):
     """delta, n_delta, and exact cos/sin of (phi_ext + delta)/2 in the Fock basis."""
-    b = annihilation(p.n_fock).matrix
-    bd = b.conj().T
+    b = annihilation(p.n_fock)
+    bd = b.T
     delta = p.delta_zpf * (b + bd)
     n_delta = 1j * p.n_zpf * (bd - b)
     evals, U = np.linalg.eigh(delta)
@@ -187,8 +177,10 @@ def _resonator_operators(p: CptParams):
     return delta, n_delta, cos_half, sin_half
 
 
-def build_cpt_hamiltonian(p: CptParams) -> OperatorMatrix:
+def build_cpt_hamiltonian(p: CptParams) -> np.ndarray:
     """Full CPT Hamiltonian on Charge(island) x Boson(resonator), rad/s.
+
+    Complex Hermitian: the E_J_delta and E_C_delta terms are imaginary.
 
     H = 4 E_Cr n_d^2 + (E_Lr/2) d^2 + E_CS (n_I - n_g)^2 - E_CD n_d (n_I - n_g)
         - E_JS cos((phi_ext + d)/2) cos(phi_I) + E_JD sin((phi_ext + d)/2) sin(phi_I)
@@ -210,8 +202,7 @@ def build_cpt_hamiltonian(p: CptParams) -> OperatorMatrix:
         - p.E_J_sigma * np.kron(cos_phi, cos_half)
         + p.E_J_delta * np.kron(sin_phi, sin_half)
     )
-    H = TWO_PI * (H + H.conj().T) / 2.0
-    return OperatorMatrix(p.space(), H)
+    return TWO_PI * (H + H.conj().T) / 2.0
 
 
 def cpt_island_hamiltonian(p: CptParams) -> np.ndarray:

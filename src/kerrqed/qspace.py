@@ -7,7 +7,7 @@ observables and states are dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,28 +83,6 @@ class HilbertSpace:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex square matrix with its Hilbert-space structure."""
-
-    space: HilbertSpace
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
-        if m.shape[0] != self.space.dim:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match space dimension {self.space.dim}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Ascending real eigenvalues and the unitary of column eigenvectors."""
 
@@ -126,18 +104,11 @@ def require_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL, what: str =
         raise HermiticityError(f"{what} is not Hermitian: relative residual {res:.3e} > {rtol:.1e}")
 
 
-def annihilation(n_max: int) -> OperatorMatrix:
-    """Truncated annihilation operator a with a[n-1, n] = sqrt(n)."""
+def annihilation(n_max: int) -> np.ndarray:
+    """Truncated annihilation operator a with a[n-1, n] = sqrt(n); real."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    d = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
-    return OperatorMatrix(HilbertSpace((Boson(n_max),)), a)
-
-
-def number_operator(n_max: int) -> OperatorMatrix:
-    a = annihilation(n_max).matrix
-    return OperatorMatrix(HilbertSpace((Boson(n_max),)), a.conj().T @ a)
+    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
 _PAULI = {
@@ -147,33 +118,18 @@ _PAULI = {
 }
 
 
-def pauli(axis: str) -> OperatorMatrix:
+def pauli(axis: str) -> np.ndarray:
     """Pauli matrix; convention pinned with sigma_y = [[0, -i], [i, 0]]."""
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    return OperatorMatrix(HilbertSpace((SpinHalf(),)), _PAULI[axis].copy())
+    return _PAULI[axis].copy()
 
 
-def embed(op: OperatorMatrix, factor_index: int, space: HilbertSpace) -> OperatorMatrix:
-    """Kronecker-embed a single-factor operator into the full space."""
-    dims = space.factor_dims()
-    if not 0 <= factor_index < len(dims):
-        raise ValueError(f"factor_index {factor_index} out of range for {len(dims)} factors")
-    if op.dim != dims[factor_index]:
-        raise ValueError(
-            f"operator dimension {op.dim} does not match factor dimension {dims[factor_index]}"
-        )
-    m = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        block = op.matrix if i == factor_index else np.eye(d, dtype=complex)
-        m = np.kron(m, block)
-    return OperatorMatrix(space, m)
-
-
-def eigendecompose(H: OperatorMatrix, rtol: float = HERMITICITY_RTOL) -> EigenSystem:
-    """Full Hermitian eigendecomposition, energies ascending."""
-    require_hermitian(H.matrix, rtol=rtol, what="eigendecompose input")
-    energies, vectors = np.linalg.eigh(H.matrix)
+def eigendecompose(H: np.ndarray, rtol: float = HERMITICITY_RTOL) -> EigenSystem:
+    """Full Hermitian eigendecomposition, energies ascending; real
+    symmetric H gives real eigenvectors."""
+    require_hermitian(H, rtol=rtol, what="eigendecompose input")
+    energies, vectors = np.linalg.eigh(H)
     return EigenSystem(energies=energies, vectors=vectors)
 
 
@@ -189,15 +145,6 @@ def reduced_state(vector: np.ndarray, space: HilbertSpace, keep_index: int) -> n
     psi = v.reshape(dims)
     psi = np.moveaxis(psi, keep_index, 0).reshape(dims[keep_index], -1)
     return psi @ psi.conj().T
-
-
-def reduced_qubit_state(vector: np.ndarray, space: HilbertSpace) -> OperatorMatrix:
-    """Trace out every boson factor of a pure state; 2x2 density matrix."""
-    spin_indices = [i for i, f in enumerate(space.factors) if isinstance(f, SpinHalf)]
-    if len(spin_indices) != 1:
-        raise ValueError(f"space must contain exactly one SpinHalf factor, found {len(spin_indices)}")
-    rho = reduced_state(vector, space, spin_indices[0])
-    return OperatorMatrix(HilbertSpace((SpinHalf(),)), rho)
 
 
 def require_density_matrix(rho: np.ndarray, what: str = "density matrix"):
@@ -218,8 +165,8 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
 
 def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity F = (tr sqrt(sqrt(r1) r2 sqrt(r1)))^2."""
-    m1 = rho1.matrix if isinstance(rho1, OperatorMatrix) else np.asarray(rho1, dtype=complex)
-    m2 = rho2.matrix if isinstance(rho2, OperatorMatrix) else np.asarray(rho2, dtype=complex)
+    m1 = np.asarray(rho1, dtype=complex)
+    m2 = np.asarray(rho2, dtype=complex)
     require_density_matrix(m1, "first density matrix")
     require_density_matrix(m2, "second density matrix")
     s1 = _psd_sqrt(m1)

@@ -29,7 +29,7 @@ from kerrqed.dispersive import (
     mixed_shift_grid,
 )
 from kerrqed.models import CptParams, MixedCouplingParams, build_synthetic_dispersive
-from kerrqed.qspace import eigendecompose
+from kerrqed.qspace import Boson, HilbertSpace, SpinHalf, eigendecompose
 from kerrqed.readout import (
     SNR_PREFACTOR,
     ReadoutConfig,
@@ -248,7 +248,7 @@ def test_criterion_10_extraction_oracle(capsys):
         H = build_synthetic_dispersive(chi, chip, NU_R, NU_Q, n_max=6)
         ds = label_dressed_states(
             eigendecompose(H),
-            H.space,
+            HilbertSpace((SpinHalf(), Boson(6))),
             q_levels=2,
             n_levels=3,
             qubit_energies=np.array([-0.5, 0.5]) * TWO_PI * NU_Q,

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from kerrqed.cli import ConfigError, list_experiments, load_config, main, run
+from kerrqed.cli import (
+    ConfigError,
+    list_experiments,
+    load_config,
+    main,
+    run,
+    write_csv,
+    write_json,
+)
 from kerrqed.dephasing import dephasing_curve
 from kerrqed.readout import ReadoutConfig, error_curve_sweep
 from kerrqed.units import (
@@ -144,6 +152,18 @@ class TestRun:
         assert doc["columns"][0] == "g_X"
         assert len(doc["rows"]) == 9
         assert "config" in doc["metadata"]
+
+    def test_writers_non_finite(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        columns = ("x", "y")
+        rows = [(float("nan"), float("-inf")), (1.0, float("inf"))]
+        write_json(tmp_path / "out.json", columns, rows, {})
+        doc = json.loads((tmp_path / "out.json").read_text(), parse_constant=reject)
+        assert doc["rows"] == [[None, "-inf"], [1.0, "inf"]]
+        write_csv(tmp_path / "out.csv", columns, rows, {})
+        assert (tmp_path / "out.csv").read_text().splitlines() == ["x,y", "nan,-inf", "1.0,inf"]
 
     def test_readout_sim_rows(self, tmp_path):
         path = write_config(

@@ -11,10 +11,9 @@ def scan_for(g_X, g_P, n_max, n_max_scan, nu_q=5e9, nu_r=8e9, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = MixedCouplingParams(nu_q, nu_r, g_X, g_P, n_max)
-    H = build_mixed_spin_boson(p)
     return overlap_scan(
-        H,
-        H.space,
+        build_mixed_spin_boson(p),
+        p.space(),
         q_list=[0, 1],
         q_prime_list=[0, 1],
         n_max_scan=n_max_scan,

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import kerrqed.dispersive
 from kerrqed.constants import TWO_PI
 from kerrqed.dispersive import (
     CHI_ANALYTIC_TO_NUMERIC,
@@ -20,12 +21,12 @@ from kerrqed.errors import LabelingError
 from kerrqed.models import (
     CptParams,
     MixedCouplingParams,
+    build_mixed_spin_boson,
     build_synthetic_dispersive,
 )
 from kerrqed.qspace import (
     Boson,
     HilbertSpace,
-    OperatorMatrix,
     SpinHalf,
     eigendecompose,
 )
@@ -68,7 +69,7 @@ class TestLabeling:
             + nu * np.kron(np.eye(2), n_op)
             + g * (np.kron(sm.T, a) + np.kron(sm, a.conj().T))
         )
-        es = eigendecompose(OperatorMatrix(space, H))
+        es = eigendecompose(H)
         ds = label_dressed_states(
             es,
             space,
@@ -99,7 +100,7 @@ class TestExtraction:
         H = build_synthetic_dispersive(chi, chip, 8e9, 5e9, n_max=6)
         ds = label_dressed_states(
             eigendecompose(H),
-            H.space,
+            HilbertSpace((SpinHalf(), Boson(6))),
             q_levels=2,
             n_levels=3,
             qubit_energies=np.array([-0.5, 0.5]) * TWO_PI * 5e9,
@@ -118,6 +119,45 @@ class TestExtraction:
         r1 = mixed_model_shifts(mixed(50e6, 50e6, n_max=10))
         r2 = mixed_model_shifts(mixed(50e6, 50e6, n_max=16))
         assert r1.chi == pytest.approx(r2.chi, rel=1e-6)
+
+
+class TestRealMixedHamiltonian:
+    """The real mixed H gives the shifts of its complex cast up to round-off."""
+
+    @staticmethod
+    def points():
+        # 20 points of the benchmark's shift_sweep box, points near the
+        # nu_q = nu_r avoided crossing, and one ultrastrong point whose
+        # labeling fails.
+        box_rng = np.random.default_rng(20261018)
+        box = [
+            (box_rng.uniform(4.5e9, 5.5e9), box_rng.uniform(0.0, 150e6), box_rng.uniform(0.0, 150e6))
+            for _ in range(20)
+        ]
+        near = [
+            (nu_q, g_X, g_P)
+            for nu_q in (7.99e9, 7.999e9, 8.001e9, 8.01e9)
+            for g_X, g_P in ((40e6, 20e6), (100e6, -100e6), (5e6, 5e6))
+        ]
+        return box + near + [(4e9, 3e9, 1e9)]
+
+    def test_matches_complex_cast(self, monkeypatch):
+        eps = np.finfo(np.float64).eps
+        for nu_q, g_X, g_P in self.points():
+            p = mixed(g_X, g_P, nu_q=nu_q)
+            tol = 1e3 * eps * np.linalg.norm(build_mixed_spin_boson(p), 2) / TWO_PI
+            reports = []
+            for build in (build_mixed_spin_boson, lambda q: build_mixed_spin_boson(q).astype(complex)):
+                monkeypatch.setattr(kerrqed.dispersive, "build_mixed_spin_boson", build)
+                try:
+                    reports.append(mixed_model_shifts(p))
+                except LabelingError:
+                    reports.append(None)
+            real, cplx = reports
+            assert (real is None) == (cplx is None), (nu_q, g_X, g_P)
+            if real is not None:
+                assert abs(real.chi - cplx.chi) <= tol, (nu_q, g_X, g_P)
+                assert abs(real.chi_prime - cplx.chi_prime) <= tol, (nu_q, g_X, g_P)
 
 
 class TestAnalyticFormulas:

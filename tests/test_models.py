@@ -55,12 +55,12 @@ class TestMixedModel:
 
     def test_hermitian_and_dimension(self):
         H = build_mixed_spin_boson(mixed(50e6, 30e6))
-        assert H.dim == 14
-        assert hermiticity_residual(H.matrix) < 1e-14
+        assert H.shape == (14, 14)
+        assert hermiticity_residual(H) < 1e-14
 
     def test_zero_coupling_diagonal(self):
         p = mixed(0.0, 0.0, n_max=4)
-        H = build_mixed_spin_boson(p).matrix
+        H = build_mixed_spin_boson(p)
         assert np.allclose(H, np.diag(np.diag(H)))
         # |up, n=0> sits at +wq/2; |down, 0> at -wq/2
         assert H[0, 0] == pytest.approx(TWO_PI * 0.5 * p.nu_q)
@@ -73,12 +73,12 @@ class TestMixedModel:
         # counter-rotating element <up,1|H|down,0> vanishes.
         g = 40e6
         n_max = 5
-        H = build_mixed_spin_boson(mixed(g, -g, n_max=n_max)).matrix
+        H = build_mixed_spin_boson(mixed(g, -g, n_max=n_max))
         up1, down0 = 1, n_max + 1
         assert abs(H[up1, down0]) < 1e-3
         assert abs(H[0, n_max + 2]) == pytest.approx(TWO_PI * 2 * g, rel=1e-12)
         # g_X = +g_P keeps only the counter-rotating terms.
-        H = build_mixed_spin_boson(mixed(g, g, n_max=n_max)).matrix
+        H = build_mixed_spin_boson(mixed(g, g, n_max=n_max))
         assert abs(H[up1, down0]) == pytest.approx(TWO_PI * 2 * g, rel=1e-12)
         assert abs(H[0, n_max + 2]) < 1e-3
 
@@ -87,7 +87,7 @@ class TestSyntheticDispersive:
     def test_energies(self):
         chi, chip = 2e6, -0.3e6
         nu_r, nu_q = 8e9, 5e9
-        H = build_synthetic_dispersive(chi, chip, nu_r, nu_q, n_max=5).matrix
+        H = build_synthetic_dispersive(chi, chip, nu_r, nu_q, n_max=5)
         assert np.allclose(H, np.diag(np.diag(H)))
         for s, offset in ((+1, 0), (-1, 6)):
             for n in range(6):
@@ -122,14 +122,14 @@ class TestCpt:
 
     def test_hermitian(self):
         H = build_cpt_hamiltonian(cpt())
-        assert hermiticity_residual(H.matrix) < 1e-13
-        assert H.dim == 13 * 9
+        assert hermiticity_residual(H) < 1e-13
+        assert H.shape == (13 * 9, 13 * 9)
 
     def test_charge_parity_symmetry(self):
         # Balanced junctions and charging shares at n_g = 0, phi_ext = 0:
         # reflecting the island charge n -> -n is a symmetry.
         p = cpt(n_g=0.0, phi_ext=0.0)
-        H = build_cpt_hamiltonian(p).matrix
+        H = build_cpt_hamiltonian(p)
         d = 2 * p.n_charge_max + 1
         R = np.kron(np.fliplr(np.eye(d)), np.eye(p.n_fock + 1))
         comm = H @ R - R @ H
@@ -141,7 +141,7 @@ class TestCpt:
         # Charging energy well above the resonator quantum so the lowest
         # excitation is the resonator one.
         p = cpt(E_J1=1e3, E_J2=1e3, E_C1=100e9, E_C2=100e9, n_g=0.0)
-        H = build_cpt_hamiltonian(p).matrix
+        H = build_cpt_hamiltonian(p)
         evals = np.linalg.eigvalsh(H)
         spacing = (evals[1] - evals[0]) / TWO_PI
         assert spacing == pytest.approx(p.nu_r_bare, rel=1e-3)
@@ -152,6 +152,12 @@ class TestCpt:
         ei = np.sort(np.linalg.eigvalsh(cpt_island_hamiltonian(p)))
         nu_q = (ei[1] - ei[0]) / TWO_PI
         assert 3e9 < nu_q < 7e9
+
+
+def test_hamiltonian_dtypes():
+    assert build_mixed_spin_boson(mixed(50e6, 30e6)).dtype == np.float64
+    assert build_synthetic_dispersive(2e6, -0.3e6, 8e9, 5e9, n_max=5).dtype == np.float64
+    assert build_cpt_hamiltonian(cpt(E_J1=10e9, E_J2=8e9)).dtype == np.complex128
 
 
 class TestCptTwoLevel:

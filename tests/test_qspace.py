@@ -6,16 +6,12 @@ from kerrqed.qspace import (
     Boson,
     Charge,
     HilbertSpace,
-    OperatorMatrix,
     SpinHalf,
     annihilation,
     eigendecompose,
-    embed,
     fidelity,
     hermiticity_residual,
-    number_operator,
     pauli,
-    reduced_qubit_state,
     reduced_state,
     require_density_matrix,
     require_hermitian,
@@ -53,7 +49,8 @@ def test_boson_cutoff_validation():
 
 def test_annihilation_commutator():
     n_max = 9
-    a = annihilation(n_max).matrix
+    a = annihilation(n_max)
+    assert a.dtype == np.float64
     comm = a @ a.conj().T - a.conj().T @ a
     # the identity holds everywhere except the truncation corner
     expected = np.eye(n_max + 1)
@@ -61,38 +58,13 @@ def test_annihilation_commutator():
     assert np.allclose(comm, expected)
 
 
-def test_number_operator_diagonal():
-    n = number_operator(5).matrix
-    assert np.allclose(n, np.diag(np.arange(6)))
-
-
 def test_pauli_algebra():
-    sx, sy, sz = (pauli(ax).matrix for ax in "xyz")
+    sx, sy, sz = (pauli(ax) for ax in "xyz")
     assert np.allclose(sy, [[0, -1j], [1j, 0]])
     assert np.allclose(sx @ sy, 1j * sz)
     assert np.allclose(sx @ sx, np.eye(2))
     with pytest.raises(ValueError):
         pauli("w")
-
-
-def test_operator_matrix_validation():
-    space = HilbertSpace((SpinHalf(),))
-    with pytest.raises(ValueError):
-        OperatorMatrix(space, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        OperatorMatrix(space, np.zeros((3, 3)))
-
-
-def test_embed_matches_kron():
-    space = HilbertSpace((SpinHalf(), Boson(3)))
-    sz = pauli("z")
-    full = embed(sz, 0, space).matrix
-    assert np.allclose(full, np.kron(sz.matrix, np.eye(4)))
-    n = number_operator(3)
-    full = embed(n, 1, space).matrix
-    assert np.allclose(full, np.kron(np.eye(2), n.matrix))
-    with pytest.raises(ValueError):
-        embed(sz, 1, space)
 
 
 def test_hermiticity_check():
@@ -105,11 +77,11 @@ def test_hermiticity_check():
 def test_eigendecompose_reconstruction():
     dim = 12
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    H = OperatorMatrix(HilbertSpace((Boson(dim - 1),)), m + m.conj().T)
+    H = m + m.conj().T
     es = eigendecompose(H)
     assert np.all(np.diff(es.energies) >= 0)
     rebuilt = (es.vectors * es.energies) @ es.vectors.conj().T
-    assert np.allclose(rebuilt, H.matrix, atol=1e-10)
+    assert np.allclose(rebuilt, H, atol=1e-10)
 
 
 def test_reduced_state_product():
@@ -126,7 +98,7 @@ def test_reduced_state_product():
 def test_reduced_state_entangled():
     space = HilbertSpace((SpinHalf(), Boson(1)))
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    rho = reduced_qubit_state(v, space).matrix
+    rho = reduced_state(v, space, 0)
     assert np.allclose(rho, np.eye(2) / 2)
 
 
