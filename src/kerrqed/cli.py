@@ -19,21 +19,18 @@ row-major grid order (first axis slowest) regardless of worker scheduling.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure at a grid point
 (suppressed by --keep-going, which records failures in the fail column
-instead).
+instead).  Warnings raised at a point are not filtered; they reach stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
-import itertools
 import json
 import math
-import os
 import sys
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,92 +41,12 @@ from .diagnostics import overlap_scan as _overlap_scan
 from .errors import KerrqedError
 from .models import CptParams, MixedCouplingParams, build_mixed_spin_boson
 from .readout import ReadoutConfig, integrate_trajectory, read_at
+from .sweep import grid
 from .units import UnitError, parse_quantity
-
-JOBS_ENV_VAR = "KERRQED_JOBS"
 
 
 class ConfigError(KerrqedError):
     """Invalid experiment configuration."""
-
-
-# Parameter schemas: name -> (kind, required, default).  Kinds `frequency`,
-# `time`, and `temperature` are unit strings; `number`, `int`, `bool`, and
-# `int_list` are plain JSON values.
-SCHEMAS = {
-    "shift_sweep": {
-        "nu_q": ("frequency", True, None),
-        "nu_r": ("frequency", True, None),
-        "n_max": ("int", False, 12),
-        "g_X": ("frequency", False, 0.0),
-        "g_P": ("frequency", False, 0.0),
-    },
-    "cpt_sweep": {
-        "E_J_sigma": ("frequency", True, None),
-        "E_C_sigma": ("frequency", True, None),
-        "E_Cr": ("frequency", True, None),
-        "E_Lr": ("frequency", True, None),
-        "n_g": ("number", True, None),
-        "phi_ext": ("number", True, None),
-        "n_charge_max": ("int", False, 6),
-        "n_fock": ("int", False, 8),
-        "E_J_delta": ("frequency", False, 0.0),
-        "E_C_delta": ("frequency", False, 0.0),
-    },
-    "dephasing_curve": {
-        "chi": ("frequency", False, 0.0),
-        "chi_prime": ("frequency", False, 0.0),
-        "kappa": ("frequency", True, None),
-        "nu_r": ("frequency", True, None),
-        "combine": ("bool", False, True),
-        "T": ("temperature", False, 0.05),
-    },
-    "readout_sim": {
-        "kappa": ("frequency", True, None),
-        "chi": ("frequency", False, 0.0),
-        "chi_prime": ("frequency", True, None),
-        "eta": ("number", False, 1.0),
-        "n_steady": ("number", True, None),
-        "t_end": ("time", True, None),
-        "dt": ("time", False, None),
-    },
-    "kappa_sweep": {
-        "kappa": ("frequency", False, 3e6),
-        "chi": ("frequency", False, 0.0),
-        "chi_prime": ("frequency", True, None),
-        "eta": ("number", False, 1.0),
-        "n_steady": ("number", True, None),
-        "tau": ("time", True, None),
-    },
-    "overlap_scan": {
-        "nu_q": ("frequency", True, None),
-        "nu_r": ("frequency", True, None),
-        "g_X": ("frequency", False, 0.0),
-        "g_P": ("frequency", False, 0.0),
-        "n_max": ("int", True, None),
-        "n_max_scan": ("int", True, None),
-        "q_list": ("int_list", False, (0, 1)),
-        "q_prime_list": ("int_list", False, (0, 1)),
-    },
-}
-
-GRIDDABLE = {
-    "shift_sweep": ("g_X", "g_P"),
-    "cpt_sweep": ("E_J_delta", "E_C_delta"),
-    "dephasing_curve": ("T",),
-    "kappa_sweep": ("kappa",),
-    "readout_sim": (),
-    "overlap_scan": (),
-}
-
-EXPERIMENT_HELP = {
-    "shift_sweep": "dispersive and Kerr shifts of the mixed-coupling model over a (g_X, g_P) grid",
-    "cpt_sweep": "CPT shifts over an (E_J_delta, E_C_delta) asymmetry grid",
-    "dephasing_curve": "shot-noise dephasing time versus temperature",
-    "readout_sim": "semiclassical readout trajectory with SNR and error curves",
-    "kappa_sweep": "readout error at fixed integration time versus resonator linewidth",
-    "overlap_scan": "dressed qubit-state fidelity versus resonator photon number",
-}
 
 
 def _parse_value(name, kind, raw):
@@ -160,7 +77,7 @@ def _parse_value(name, kind, raw):
 
 
 def parse_params(experiment, raw_params):
-    schema = SCHEMAS[experiment]
+    schema = EXPERIMENTS[experiment].params
     unknown = set(raw_params) - set(schema)
     if unknown:
         raise ConfigError(f"unknown parameter(s) for {experiment}: {sorted(unknown)}")
@@ -181,8 +98,8 @@ def parse_grid(experiment, raw_grid):
         return []
     if not isinstance(raw_grid, list):
         raise ConfigError("grid must be a list of axis records")
-    schema = SCHEMAS[experiment]
-    allowed = GRIDDABLE[experiment]
+    schema = EXPERIMENTS[experiment].params
+    allowed = EXPERIMENTS[experiment].axes
     axes = []
     for i, axis in enumerate(raw_grid):
         if not isinstance(axis, dict):
@@ -218,9 +135,7 @@ def parse_grid(experiment, raw_grid):
 
 
 def _point_shift_sweep(p):
-    rep = mixed_model_shifts(
-        MixedCouplingParams(p["nu_q"], p["nu_r"], p["g_X"], p["g_P"], p["n_max"])
-    )
+    rep = mixed_model_shifts(MixedCouplingParams(**p))
     return {"chi_Hz": rep.chi, "chi_prime_Hz": rep.chi_prime}
 
 
@@ -260,46 +175,11 @@ def _point_kappa_sweep(p):
     return read_at(integrate_trajectory(cfg), p["tau"])
 
 
-POINT_FUNCS = {
-    "shift_sweep": _point_shift_sweep,
-    "cpt_sweep": _point_cpt_sweep,
-    "dephasing_curve": _point_dephasing_curve,
-    "kappa_sweep": _point_kappa_sweep,
-}
-
-POINT_COLUMNS = {
-    "shift_sweep": ("chi_Hz", "chi_prime_Hz"),
-    "cpt_sweep": ("chi_Hz", "chi_prime_Hz"),
-    "dephasing_curve": ("n_th", "gamma_per_s", "T_phi_s"),
-    "kappa_sweep": ("snr", "error", "n_final"),
-}
-
-
 def _rows_readout_sim(p):
-    cfg = ReadoutConfig(
-        kappa=p["kappa"],
-        chi=p["chi"],
-        chi_prime=p["chi_prime"],
-        eta=p["eta"],
-        n_steady=p["n_steady"],
-        t_end=p["t_end"],
-        dt=p["dt"],
-    )
-    traj = integrate_trajectory(cfg)
+    t = integrate_trajectory(ReadoutConfig(**p))
     columns = ("t_s", "alpha0_re", "alpha0_im", "alpha1_re", "alpha1_im", "snr", "error")
-    rows = [
-        (
-            float(traj.times[i]),
-            float(traj.alpha0[i].real),
-            float(traj.alpha0[i].imag),
-            float(traj.alpha1[i].real),
-            float(traj.alpha1[i].imag),
-            float(traj.snr[i]),
-            float(traj.error[i]),
-        )
-        for i in range(len(traj.times))
-    ]
-    return columns, rows
+    values = (t.times, t.alpha0.real, t.alpha0.imag, t.alpha1.real, t.alpha1.imag, t.snr, t.error)
+    return columns, [tuple(map(float, row)) for row in zip(*values)]
 
 
 def _rows_overlap_scan(p):
@@ -312,13 +192,118 @@ def _rows_overlap_scan(p):
         n_max_scan=p["n_max_scan"],
         qubit_energies=np.array([-0.5 * mp.nu_q, 0.5 * mp.nu_q]) * 2.0 * np.pi,
         boson_freq=2.0 * np.pi * mp.nu_r,
-        model_id="mixed_spin_boson",
     )
     columns = ("q", "q_prime", "n", "fidelity")
     return columns, [tuple(r) for r in scan.rows]
 
 
-ROW_FUNCS = {"readout_sim": _rows_readout_sim, "overlap_scan": _rows_overlap_scan}
+class Experiment(NamedTuple):
+    """One CLI experiment.
+
+    params maps name -> (kind, required, default).  Kinds `frequency`,
+    `time` and `temperature` are unit strings; `number`, `int`, `bool` and
+    `int_list` are plain JSON values.  An experiment with grid axes has
+    rule(params) -> {column: value} for its value columns; one without runs
+    once, and rule(params) -> (columns, rows).
+    """
+
+    help: str
+    params: dict
+    axes: tuple
+    rule: Callable
+    columns: tuple = ()
+
+
+EXPERIMENTS = {
+    "shift_sweep": Experiment(
+        "dispersive and Kerr shifts of the mixed-coupling model over a (g_X, g_P) grid",
+        {
+            "nu_q": ("frequency", True, None),
+            "nu_r": ("frequency", True, None),
+            "n_max": ("int", False, 12),
+            "g_X": ("frequency", False, 0.0),
+            "g_P": ("frequency", False, 0.0),
+        },
+        ("g_X", "g_P"),
+        _point_shift_sweep,
+        ("chi_Hz", "chi_prime_Hz"),
+    ),
+    "cpt_sweep": Experiment(
+        "CPT shifts over an (E_J_delta, E_C_delta) asymmetry grid",
+        {
+            "E_J_sigma": ("frequency", True, None),
+            "E_C_sigma": ("frequency", True, None),
+            "E_Cr": ("frequency", True, None),
+            "E_Lr": ("frequency", True, None),
+            "n_g": ("number", True, None),
+            "phi_ext": ("number", True, None),
+            "n_charge_max": ("int", False, 6),
+            "n_fock": ("int", False, 8),
+            "E_J_delta": ("frequency", False, 0.0),
+            "E_C_delta": ("frequency", False, 0.0),
+        },
+        ("E_J_delta", "E_C_delta"),
+        _point_cpt_sweep,
+        ("chi_Hz", "chi_prime_Hz"),
+    ),
+    "dephasing_curve": Experiment(
+        "shot-noise dephasing time versus temperature",
+        {
+            "chi": ("frequency", False, 0.0),
+            "chi_prime": ("frequency", False, 0.0),
+            "kappa": ("frequency", True, None),
+            "nu_r": ("frequency", True, None),
+            "combine": ("bool", False, True),
+            "T": ("temperature", False, 0.05),
+        },
+        ("T",),
+        _point_dephasing_curve,
+        ("n_th", "gamma_per_s", "T_phi_s"),
+    ),
+    "readout_sim": Experiment(
+        "semiclassical readout trajectory with SNR and error curves",
+        {
+            "kappa": ("frequency", True, None),
+            "chi": ("frequency", False, 0.0),
+            "chi_prime": ("frequency", True, None),
+            "eta": ("number", False, 1.0),
+            "n_steady": ("number", True, None),
+            "t_end": ("time", True, None),
+            "dt": ("time", False, None),
+        },
+        (),
+        _rows_readout_sim,
+    ),
+    "kappa_sweep": Experiment(
+        "readout error at fixed integration time versus resonator linewidth",
+        {
+            "kappa": ("frequency", False, 3e6),
+            "chi": ("frequency", False, 0.0),
+            "chi_prime": ("frequency", True, None),
+            "eta": ("number", False, 1.0),
+            "n_steady": ("number", True, None),
+            "tau": ("time", True, None),
+        },
+        ("kappa",),
+        _point_kappa_sweep,
+        ("snr", "error", "n_final"),
+    ),
+    "overlap_scan": Experiment(
+        "dressed qubit-state fidelity versus resonator photon number",
+        {
+            "nu_q": ("frequency", True, None),
+            "nu_r": ("frequency", True, None),
+            "g_X": ("frequency", False, 0.0),
+            "g_P": ("frequency", False, 0.0),
+            "n_max": ("int", True, None),
+            "n_max_scan": ("int", True, None),
+            "q_list": ("int_list", False, (0, 1)),
+            "q_prime_list": ("int_list", False, (0, 1)),
+        },
+        (),
+        _rows_overlap_scan,
+    ),
+}
 
 
 def load_config(path):
@@ -334,8 +319,8 @@ def load_config(path):
     if "experiment" not in cfg:
         raise ConfigError(f"{path}: missing 'experiment' field")
     experiment = cfg["experiment"]
-    if experiment not in SCHEMAS:
-        close = difflib.get_close_matches(str(experiment), SCHEMAS, n=1)
+    if experiment not in EXPERIMENTS:
+        close = difflib.get_close_matches(str(experiment), EXPERIMENTS, n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(f"unknown experiment {experiment!r}{hint}")
     unknown = set(cfg) - {"experiment", "params", "grid", "output"}
@@ -351,15 +336,13 @@ def load_config(path):
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
     params = parse_params(experiment, raw_params)
-    grid = parse_grid(experiment, cfg.get("grid"))
-    if experiment in ROW_FUNCS and grid:
-        raise ConfigError(f"{experiment} does not take a grid")
-    if experiment in POINT_FUNCS and not grid:
+    axes = parse_grid(experiment, cfg.get("grid"))
+    if EXPERIMENTS[experiment].axes and not axes:
         raise ConfigError(f"{experiment} requires at least one grid axis")
     return {
         "experiment": experiment,
         "params": params,
-        "grid": grid,
+        "grid": axes,
         "out_path": output.get("path"),
         "format": fmt,
         "echo": cfg,
@@ -405,62 +388,30 @@ def write_json(path, columns, rows, metadata):
             fh.write(text)
 
 
-def _evaluate_point(func, params):
-    """(result dict or None, failure message)."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return func(params), ""
-    except (KerrqedError, ValueError, FloatingPointError) as exc:
-        return None, str(exc)
-
-
-def run(config_path, out_path=None, fmt=None, jobs=None, keep_going=False):
+def run(config_path, out_path=None, fmt=None, jobs=1, keep_going=False):
     cfg = load_config(config_path)
     experiment = cfg["experiment"]
+    exp = EXPERIMENTS[experiment]
     out_path = out_path if out_path is not None else cfg["out_path"]
     fmt = fmt if fmt is not None else cfg["format"]
-    if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
 
     t0 = time.monotonic()
-    failed = 0
-    if experiment in ROW_FUNCS:
-        result, message = _evaluate_point(ROW_FUNCS[experiment], cfg["params"])
-        if result is None:
-            columns, rows = ("fail",), [(message,)]
-            failed = 1
-        else:
-            columns, rows = result
+    axes = cfg["grid"]
+    points = grid(exp.rule, cfg["params"], axes, jobs)
+    failed = sum(exc is not None for _, _, exc in points)
+    if not exp.axes:
+        [(_, result, exc)] = points
+        columns, rows = result if exc is None else (("fail",), [(str(exc),)])
     else:
-        axes = cfg["grid"]
-        axis_names = [name for name, _ in axes]
-        value_cols = POINT_COLUMNS[experiment]
-        columns = tuple(axis_names) + value_cols + ("fail",)
-        points = []
-        for combo in itertools.product(*(vals for _, vals in axes)):
-            p = dict(cfg["params"])
-            p.update(zip(axis_names, (float(v) for v in combo)))
-            points.append((combo, p))
-        func = POINT_FUNCS[experiment]
-        if jobs == 1:
-            results = [_evaluate_point(func, p) for _, p in points]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda item: _evaluate_point(func, item[1]), points))
-        rows = []
-        for (combo, _), (result, message) in zip(points, results):
-            if result is None:
-                failed += 1
-                rows.append(tuple(float(v) for v in combo) + (None,) * len(value_cols) + (message,))
-            else:
-                rows.append(
-                    tuple(float(v) for v in combo)
-                    + tuple(result[c] for c in value_cols)
-                    + ("",)
-                )
+        columns = tuple(name for name, _ in axes) + exp.columns + ("fail",)
+        rows = [
+            values + tuple(result[c] for c in exp.columns) + ("",)
+            if exc is None
+            else values + (None,) * len(exp.columns) + (str(exc),)
+            for values, result, exc in points
+        ]
 
     metadata = {
         "generator": f"kerrqed {__version__}",
@@ -478,13 +429,10 @@ def run(config_path, out_path=None, fmt=None, jobs=None, keep_going=False):
 
 def list_experiments():
     lines = []
-    for name in SCHEMAS:
-        required = [p for p, (_, req, _) in SCHEMAS[name].items() if req]
-        grid = GRIDDABLE[name]
-        extra = f"; grid axes: {', '.join(grid)}" if grid else ""
-        lines.append(
-            f"{name:16s} {EXPERIMENT_HELP[name]} (required params: {', '.join(required)}{extra})"
-        )
+    for name, exp in EXPERIMENTS.items():
+        required = [p for p, (_, req, _) in exp.params.items() if req]
+        extra = f"; grid axes: {', '.join(exp.axes)}" if exp.axes else ""
+        lines.append(f"{name:16s} {exp.help} (required params: {', '.join(required)}{extra})")
     return "\n".join(lines)
 
 
@@ -497,9 +445,7 @@ def build_parser():
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", default=None, help="output path (overrides config; default stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    p_run.add_argument(
-        "--jobs", type=int, default=None, help=f"worker pool size (default ${JOBS_ENV_VAR} or 1)"
-    )
+    p_run.add_argument("--jobs", type=int, default=1, help="worker thread pool size (default 1)")
     p_run.add_argument(
         "--keep-going", action="store_true", help="record per-point failures instead of exiting 2"
     )

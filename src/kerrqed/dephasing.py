@@ -15,6 +15,11 @@ from .constants import BOLTZMANN_K, PLANCK_H, TWO_PI
 from .errors import ConvergenceError
 from .ode import rk4
 
+# gamma_ode integrates in kappa-scaled time: RK4 steps per 1/kappa, and the
+# horizon in units of 1/kappa.
+KAPPA_STEPS = 100
+KAPPA_HORIZON = 50.0
+
 
 @dataclass(frozen=True)
 class DephasingParams:
@@ -155,30 +160,21 @@ def gamma_from_Z(Z_ss: complex, chi_prime: float, method: str = "quadratic_analy
     return DephasingResult(gamma=max(gamma, 0.0), delta=delta, method=method)
 
 
-def gamma_ode(
-    p: DephasingParams,
-    model: str = "cubic",
-    dt: float | None = None,
-    t_end: float | None = None,
-) -> DephasingResult:
+def gamma_ode(p: DephasingParams, model: str = "cubic") -> DephasingResult:
     """Dephasing rate from the steady state of the Z ODE.
 
-    Integrates to steady state (relative change of Z over one 1/kappa window
-    below 1e-9, capped at 50/kappa); Z_ss is the average over the final 10%
-    of the trajectory.
+    Integrates with step 1/(100 kappa) to steady state (relative change of Z
+    over one 1/kappa window below 1e-9, capped at 50/kappa); Z_ss is the
+    average over the final 10% of the trajectory.
     """
     ka = TWO_PI * p.kappa
-    if dt is None:
-        dt = 1.0 / (100.0 * ka)
-    if t_end is None:
-        t_end = 50.0 / ka
-    traj = z_trajectory(p, t_end, dt, model=model)
-    window = max(1, int(round(1.0 / (ka * dt))))
+    dt = 1.0 / (KAPPA_STEPS * ka)
+    traj = z_trajectory(p, KAPPA_HORIZON / ka, dt, model=model)
     Z = traj.Z
     converged = False
-    for k in range(window, len(Z), window):
+    for k in range(KAPPA_STEPS, len(Z), KAPPA_STEPS):
         ref = max(abs(Z[k]), 1e-30)
-        if abs(Z[k] - Z[k - window]) / ref < 1e-9:
+        if abs(Z[k] - Z[k - KAPPA_STEPS]) / ref < 1e-9:
             converged = True
             break
     if not converged:

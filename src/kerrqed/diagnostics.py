@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersive import DEFAULT_OVERLAP_FLOOR, DressedSpectrum, label_dressed_states
+from .dispersive import DressedSpectrum, label_dressed_states
 from .errors import LabelingError
 from .qspace import Boson, HilbertSpace, eigendecompose, fidelity, reduced_state
 
@@ -25,7 +25,6 @@ class OverlapScan:
     """rows: (q, q_prime, n, fidelity) with n ascending per (q, q_prime) pair."""
 
     rows: tuple
-    model_id: str
 
     def pair(self, q: int, q_prime: int):
         """(n, fidelity) sequence for one label pair."""
@@ -42,13 +41,13 @@ def overlap_scan(
     q_list,
     q_prime_list,
     n_max_scan: int,
-    qubit_vectors: np.ndarray | None = None,
-    qubit_energies: np.ndarray | None = None,
-    boson_freq: float | None = None,
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
-    model_id: str = "",
+    qubit_energies: np.ndarray,
+    boson_freq: float,
 ) -> OverlapScan:
     """Fidelity of the reduced qubit state of |q', n> against that of |q, 0>.
+
+    The qubit is a SpinHalf factor; qubit_energies and boson_freq (rad/s)
+    order the bare states for labeling.
 
     Requires at least 5 guard Fock levels above n_max_scan so truncation
     artifacts stay out of the scanned range.
@@ -69,10 +68,8 @@ def overlap_scan(
         space,
         q_levels=max(q_all) + 1,
         n_levels=n_max_scan + 1,
-        qubit_vectors=qubit_vectors,
         qubit_energies=qubit_energies,
         boson_freq=boson_freq,
-        overlap_floor=overlap_floor,
     )
     for q in q_all:
         for n in range(n_max_scan + 1):
@@ -95,7 +92,7 @@ def overlap_scan(
                     )
                 prev = f
                 rows.append((q, qp, n, f))
-    return OverlapScan(rows=tuple(rows), model_id=model_id)
+    return OverlapScan(rows=tuple(rows))
 
 
 def critical_photon_estimate(scan: OverlapScan, threshold: float) -> dict:

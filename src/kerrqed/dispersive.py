@@ -22,6 +22,7 @@ from .models import (
     cpt_island_hamiltonian,
 )
 from .qspace import Boson, EigenSystem, HilbertSpace, eigendecompose
+from .sweep import grid
 
 DEFAULT_OVERLAP_FLOOR = 0.5
 
@@ -68,15 +69,16 @@ def label_dressed_states(
     space: HilbertSpace,
     q_levels: int,
     n_levels: int,
+    qubit_energies: np.ndarray,
+    boson_freq: float,
     qubit_vectors: np.ndarray | None = None,
-    qubit_energies: np.ndarray | None = None,
-    boson_freq: float | None = None,
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
 ) -> DressedSpectrum:
     """Greedy maximum-overlap assignment of dressed states to bare labels.
 
     Bare states are |q, n> with the qubit factor first and a Boson factor
-    second.  qubit_vectors columns give the bare qubit states in ascending
+    second, visited in ascending bare energy qubit_energies[q] + n boson_freq
+    (rad/s).  qubit_vectors columns give the bare qubit states in ascending
     energy; by default the qubit is a SpinHalf with ground state sigma_z = -1
     (basis index 1), matching a +omega_q/2 sigma_z bare Hamiltonian.
     Assignments with best overlap below overlap_floor are left unlabeled.
@@ -93,12 +95,6 @@ def label_dressed_states(
         if dq != 2:
             raise ValueError("qubit_vectors required for non-spin qubit factors")
         qubit_vectors = np.array([[0.0, 1.0], [1.0, 0.0]])
-    if qubit_energies is None:
-        qubit_energies = np.arange(q_levels, dtype=float)
-    if boson_freq is None:
-        boson_freq = float(np.max(qubit_energies[:q_levels])) - float(
-            np.min(qubit_energies[:q_levels])
-        ) + 1.0
 
     order = sorted(
         ((qubit_energies[q] + n * boson_freq, q, n) for q in range(q_levels) for n in range(n_levels))
@@ -154,17 +150,16 @@ def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
     )
 
 
-def mixed_model_spectrum(p: MixedCouplingParams, n_levels: int = 3, overlap_floor: float = DEFAULT_OVERLAP_FLOOR) -> DressedSpectrum:
-    """Diagonalize the minimal mixed model and label dressed states."""
+def mixed_model_spectrum(p: MixedCouplingParams) -> DressedSpectrum:
+    """Diagonalize the minimal mixed model and label (q, n) for q < 2, n < 3."""
     es = eigendecompose(build_mixed_spin_boson(p))
     return label_dressed_states(
         es,
         p.space(),
         q_levels=2,
-        n_levels=n_levels,
+        n_levels=3,
         qubit_energies=np.array([-0.5 * p.nu_q, 0.5 * p.nu_q]) * TWO_PI,
         boson_freq=TWO_PI * p.nu_r,
-        overlap_floor=overlap_floor,
     )
 
 
@@ -172,39 +167,45 @@ def mixed_model_shifts(p: MixedCouplingParams) -> ShiftReport:
     return extract_shifts(mixed_model_spectrum(p))
 
 
-def chi_prime_noise_floor(p: MixedCouplingParams, guard: int = 5) -> float:
-    """Truncation noise floor: change of extracted chi' when n_max grows by `guard`."""
+def chi_prime_noise_floor(p: MixedCouplingParams) -> float:
+    """Truncation noise floor: change of extracted chi' when n_max grows by 5."""
     r1 = mixed_model_shifts(p)
-    p2 = MixedCouplingParams(p.nu_q, p.nu_r, p.g_X, p.g_P, p.n_max + guard)
+    p2 = MixedCouplingParams(p.nu_q, p.nu_r, p.g_X, p.g_P, p.n_max + 5)
     r2 = mixed_model_shifts(p2)
     return abs(r2.chi_prime - r1.chi_prime)
 
 
 def mixed_shift_grid(nu_q, nu_r, g_X_values, g_P_values, n_max):
-    """chi and chi' (Hz) over a (g_X, g_P) grid; arrays indexed [i_gX, i_gP]."""
-    chi = np.empty((len(g_X_values), len(g_P_values)))
-    chip = np.empty_like(chi)
-    for i, gx in enumerate(g_X_values):
-        for j, gp in enumerate(g_P_values):
-            rep = mixed_model_shifts(MixedCouplingParams(nu_q, nu_r, gx, gp, n_max))
-            chi[i, j] = rep.chi
-            chip[i, j] = rep.chi_prime
+    """chi and chi' (Hz) over a (g_X, g_P) grid; arrays indexed [i_gX, i_gP].
+
+    A failed point raises the first failure in grid order."""
+    points = grid(
+        lambda p: mixed_model_shifts(MixedCouplingParams(**p)),
+        {"nu_q": nu_q, "nu_r": nu_r, "n_max": n_max},
+        [("g_X", g_X_values), ("g_P", g_P_values)],
+    )
+    for _, _, exc in points:
+        if exc is not None:
+            raise exc
+    shape = (len(g_X_values), len(g_P_values))
+    chi = np.reshape([rep.chi for _, rep, _ in points], shape)
+    chip = np.reshape([rep.chi_prime for _, rep, _ in points], shape)
     return chi, chip
 
 
-def cpt_spectrum(p: CptParams, q_levels: int = 3, n_levels: int = 3, overlap_floor: float = DEFAULT_OVERLAP_FLOOR) -> DressedSpectrum:
-    """Diagonalize the full CPT model; bare qubit basis = island eigenstates."""
+def cpt_spectrum(p: CptParams) -> DressedSpectrum:
+    """Diagonalize the full CPT model and label (q, n) for q < 3, n < 3;
+    the bare qubit basis is the island eigenstates."""
     es = eigendecompose(build_cpt_hamiltonian(p))
     ei, vi = np.linalg.eigh(cpt_island_hamiltonian(p))
     return label_dressed_states(
         es,
         p.space(),
-        q_levels=q_levels,
-        n_levels=n_levels,
-        qubit_vectors=vi,
+        q_levels=3,
+        n_levels=3,
         qubit_energies=ei,
         boson_freq=TWO_PI * p.nu_r_bare,
-        overlap_floor=overlap_floor,
+        qubit_vectors=vi,
     )
 
 

@@ -125,10 +125,10 @@ def pauli(axis: str) -> np.ndarray:
     return _PAULI[axis].copy()
 
 
-def eigendecompose(H: np.ndarray, rtol: float = HERMITICITY_RTOL) -> EigenSystem:
+def eigendecompose(H: np.ndarray) -> EigenSystem:
     """Full Hermitian eigendecomposition, energies ascending; real
     symmetric H gives real eigenvectors."""
-    require_hermitian(H, rtol=rtol, what="eigendecompose input")
+    require_hermitian(H, what="eigendecompose input")
     energies, vectors = np.linalg.eigh(H)
     return EigenSystem(energies=energies, vectors=vectors)
 

@@ -21,6 +21,7 @@ from scipy.special import erfc
 from .constants import TWO_PI
 from .errors import ConvergenceError
 from .ode import rk4
+from .sweep import grid
 
 # One-time calibration constant of the unspecified SNR normalization; frozen.
 SNR_PREFACTOR = 1.0
@@ -227,12 +228,15 @@ def error_curve_sweep(cfg: ReadoutConfig, sweep_param: str, values, tau: float |
     if tau is None:
         tau = cfg.t_end
     rows = []
-    for v in values:
+    for (v,), result, exc in grid(
+        lambda p: read_at(integrate_trajectory(replace(cfg, **p, epsilon=None)), tau),
+        {},
+        [(sweep_param, values)],
+    ):
         row = {sweep_param: v, "error": None, "snr": None, "n_final": None, "failed": ""}
-        try:
-            point = replace(cfg, **{sweep_param: v}, epsilon=None)
-            row.update(read_at(integrate_trajectory(point), tau))
-        except (ConvergenceError, ValueError) as exc:
+        if exc is None:
+            row.update(result)
+        else:
             row["failed"] = str(exc)
         rows.append(row)
     return rows

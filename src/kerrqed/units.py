@@ -47,15 +47,3 @@ def parse_quantity(text, kind: str) -> float:
             f"unknown {kind} unit {unit!r} in {text!r}; expected one of {sorted(table)}"
         )
     return float(value) * table[unit]
-
-
-def parse_frequency(text) -> float:
-    return parse_quantity(text, "frequency")
-
-
-def parse_time(text) -> float:
-    return parse_quantity(text, "time")
-
-
-def parse_temperature(text) -> float:
-    return parse_quantity(text, "temperature")

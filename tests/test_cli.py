@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -12,38 +13,34 @@ from kerrqed.cli import (
     write_json,
 )
 from kerrqed.dephasing import dephasing_curve
+from kerrqed.dispersive import mixed_model_shifts
+from kerrqed.models import MixedCouplingParams
 from kerrqed.readout import ReadoutConfig, error_curve_sweep
-from kerrqed.units import (
-    UnitError,
-    parse_frequency,
-    parse_quantity,
-    parse_temperature,
-    parse_time,
-)
+from kerrqed.units import UnitError, parse_quantity
 
 
 class TestUnits:
     def test_frequency(self):
-        assert parse_frequency("5 GHz") == 5e9
-        assert parse_frequency("0.12 MHz") == pytest.approx(0.12e6)
-        assert parse_frequency("-3 kHz") == -3e3
-        assert parse_frequency("1e3 Hz") == 1e3
+        assert parse_quantity("5 GHz", "frequency") == 5e9
+        assert parse_quantity("0.12 MHz", "frequency") == pytest.approx(0.12e6)
+        assert parse_quantity("-3 kHz", "frequency") == -3e3
+        assert parse_quantity("1e3 Hz", "frequency") == 1e3
 
     def test_time_and_temperature(self):
-        assert parse_time("400 ns") == pytest.approx(400e-9)
-        assert parse_time("1.5 us") == pytest.approx(1.5e-6)
-        assert parse_temperature("50 mK") == pytest.approx(0.05)
-        assert parse_temperature("4 K") == 4.0
+        assert parse_quantity("400 ns", "time") == pytest.approx(400e-9)
+        assert parse_quantity("1.5 us", "time") == pytest.approx(1.5e-6)
+        assert parse_quantity("50 mK", "temperature") == pytest.approx(0.05)
+        assert parse_quantity("4 K", "temperature") == 4.0
 
     def test_strictness(self):
         with pytest.raises(UnitError):
-            parse_frequency(5e9)  # bare numbers rejected
+            parse_quantity(5e9, "frequency")  # bare numbers rejected
         with pytest.raises(UnitError):
-            parse_frequency("5 Ghz")  # unit case matters
+            parse_quantity("5 Ghz", "frequency")  # unit case matters
         with pytest.raises(UnitError):
-            parse_time("5 GHz")
+            parse_quantity("5 GHz", "time")
         with pytest.raises(UnitError):
-            parse_frequency("fast")
+            parse_quantity("fast", "frequency")
         with pytest.raises(ValueError):
             parse_quantity("5 m", "length")
 
@@ -210,6 +207,31 @@ class TestRun:
         fail_col = columns.index("fail")
         assert rows[0][fail_col] == ""
         assert rows[2][fail_col] != ""
+        # the thread pool gives the same rows, the failure row included
+        out2 = tmp_path / "cpt2.csv"
+        assert run(path, out_path=str(out2), fmt="csv", jobs=2, keep_going=True) == 0
+        assert read_rows(out2) == (columns, rows)
+
+    def test_warnings_reach_caller(self, tmp_path):
+        # 1 MHz detuning: every coupling exceeds 10% of it
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "shift_sweep",
+                "params": {"nu_q": "7.999 GHz", "nu_r": "8 GHz", "n_max": 10},
+                "grid": [{"name": "g_X", "start": "90 MHz", "stop": "100 MHz", "count": 4}],
+            },
+        )
+        out = tmp_path / "near.csv"
+        with pytest.warns(UserWarning, match="couplings exceed 10%") as caught:
+            assert run(path, out_path=str(out), fmt="csv") == 0
+        assert sum("couplings exceed 10%" in str(w.message) for w in caught) == 4
+        columns, rows = read_rows(out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for row in rows:
+                rep = mixed_model_shifts(MixedCouplingParams(7.999e9, 8e9, float(row[0]), 0.0, 10))
+                assert row[1:] == [repr(rep.chi), repr(rep.chi_prime), ""]
 
     def test_log_scale_axis(self, tmp_path):
         path = write_config(

@@ -59,16 +59,16 @@ class TestOverlapScan:
 
 class TestCriticalPhoton:
     def test_all_zero_scan(self):
-        scan = OverlapScan(rows=tuple((0, 1, n, 0.0) for n in range(10)), model_id="test")
+        scan = OverlapScan(rows=tuple((0, 1, n, 0.0) for n in range(10)))
         assert critical_photon_estimate(scan, 0.05) == {(0, 1): None}
 
     def test_constructed_crossing(self):
         rows = tuple((0, 1, n, 0.0 if n < 25 else 0.06) for n in range(30))
-        scan = OverlapScan(rows=rows, model_id="test")
+        scan = OverlapScan(rows=rows)
         assert critical_photon_estimate(scan, 0.05) == {(0, 1): 25}
 
     def test_threshold_validation(self):
-        scan = OverlapScan(rows=((0, 1, 0, 0.0),), model_id="test")
+        scan = OverlapScan(rows=((0, 1, 0, 0.0),))
         with pytest.raises(ValueError):
             critical_photon_estimate(scan, 0.0)
         with pytest.raises(ValueError):

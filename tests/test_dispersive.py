@@ -16,6 +16,7 @@ from kerrqed.dispersive import (
     label_dressed_states,
     mixed_model_shifts,
     mixed_model_spectrum,
+    mixed_shift_grid,
 )
 from kerrqed.errors import LabelingError
 from kerrqed.models import (
@@ -91,7 +92,14 @@ class TestLabeling:
         es = eigendecompose(build_synthetic_dispersive(0, 0, 8e9, 5e9, 3))
         space = HilbertSpace((SpinHalf(), Boson(3)))
         with pytest.raises(LabelingError):
-            label_dressed_states(es, space, q_levels=2, n_levels=10)
+            label_dressed_states(
+                es,
+                space,
+                q_levels=2,
+                n_levels=10,
+                qubit_energies=np.array([-0.5, 0.5]) * TWO_PI * 5e9,
+                boson_freq=TWO_PI * 8e9,
+            )
 
 
 class TestExtraction:
@@ -158,6 +166,13 @@ class TestRealMixedHamiltonian:
             if real is not None:
                 assert abs(real.chi - cplx.chi) <= tol, (nu_q, g_X, g_P)
                 assert abs(real.chi_prime - cplx.chi_prime) <= tol, (nu_q, g_X, g_P)
+
+    def test_grid_raises_failed_point(self):
+        # the ultrastrong point of points(), inside a grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(LabelingError):
+                mixed_shift_grid(4e9, 8e9, [10e6, 3e9], [1e9], 10)
 
 
 class TestAnalyticFormulas:
