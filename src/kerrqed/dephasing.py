@@ -23,40 +23,26 @@ KAPPA_HORIZON = 50.0
 
 @dataclass(frozen=True)
 class DephasingParams:
-    """kappa, chi, chi' in Hz (linear convention); thermal occupation either
-    given directly (n_th) or via (T_eff, nu_r)."""
+    """kappa, chi, chi' in Hz (linear convention); thermal occupation n_th
+    (use thermal_occupation for a temperature)."""
 
     kappa: float
+    n_th: float
     chi: float = 0.0
     chi_prime: float = 0.0
-    n_th: float | None = None
-    T_eff: float | None = None
-    nu_r: float | None = None
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        direct = self.n_th is not None
-        thermal = self.T_eff is not None and self.nu_r is not None
-        if direct == thermal:
-            raise ValueError("supply exactly one of n_th or (T_eff, nu_r)")
-        if direct and self.n_th < 0:
+        if self.n_th < 0:
             raise ValueError("n_th must be >= 0")
-
-    @property
-    def occupation(self) -> float:
-        if self.n_th is not None:
-            return self.n_th
-        return thermal_occupation(self.nu_r, self.T_eff)
 
 
 @dataclass(frozen=True)
 class DephasingResult:
-    """Dephasing rate gamma (1/s), induced frequency shift delta (rad/s)."""
+    """Dephasing rate gamma (1/s)."""
 
     gamma: float
-    delta: float
-    method: str
 
     @property
     def t_phi(self) -> float:
@@ -67,27 +53,30 @@ class DephasingResult:
 class ZTrajectory:
     times: np.ndarray
     Z: np.ndarray
-    mu: np.ndarray
 
 
-def thermal_occupation(nu_r: float, T_eff: float) -> float:
+def thermal_occupation(nu_r: float, T: float) -> float:
     """Bose occupation 1/(exp(h nu_r / k_B T) - 1); 0 at T = 0."""
     if nu_r <= 0:
         raise ValueError("nu_r must be positive")
-    if T_eff < 0:
+    if T < 0:
         raise ValueError("temperature must be >= 0")
-    if T_eff == 0.0:
+    if T == 0.0:
         return 0.0
-    x = PLANCK_H * nu_r / (BOLTZMANN_K * T_eff)
-    return 1.0 / math.expm1(x)
+    x = PLANCK_H * nu_r / (BOLTZMANN_K * T)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        # x > ~709.78, where 1/expm1(x) = exp(-x) to double precision
+        return math.exp(-x)
 
 
 def gamma_linear(p: DephasingParams) -> DephasingResult:
     """Linear dispersive shot-noise rate: Gamma = n_th kappa chi^2/(kappa^2 + chi^2)."""
     ka = TWO_PI * p.kappa
     ca = TWO_PI * p.chi
-    gamma = p.occupation * ka * ca**2 / (ka**2 + ca**2)
-    return DephasingResult(gamma=gamma, delta=0.0, method="closed_linear")
+    gamma = p.n_th * ka * ca**2 / (ka**2 + ca**2)
+    return DephasingResult(gamma)
 
 
 def gamma_nonlinear_analytic(p: DephasingParams) -> DephasingResult:
@@ -95,41 +84,33 @@ def gamma_nonlinear_analytic(p: DephasingParams) -> DephasingResult:
     Gamma = 64 n_th^3 chi'^2 / kappa."""
     ka = TWO_PI * p.kappa
     cpa = TWO_PI * p.chi_prime
-    gamma = 64.0 * p.occupation**3 * cpa**2 / ka
-    return DephasingResult(gamma=gamma, delta=0.0, method="closed_nonlinear")
-
-
-def _z_rhs(Z, kappa_a, chip_a, n_th, model):
-    if model == "cubic":
-        return -2j * chip_a * (Z**3 + 2.0 * Z**2) - kappa_a * Z + 2.0 * kappa_a * n_th
-    if model == "quadratic":
-        return -4j * chip_a * Z**2 - kappa_a * Z + 2.0 * kappa_a * n_th
-    raise ValueError(f"model must be 'cubic' or 'quadratic', got {model!r}")
+    gamma = 64.0 * p.n_th**3 * cpa**2 / ka
+    return DephasingResult(gamma)
 
 
 def z_trajectory(p: DephasingParams, t_end: float, dt: float, model: str = "cubic") -> ZTrajectory:
-    """Fixed-step RK4 integration of the coherence ODE from Z(0) = mu(0) = 0.
-
-    The accumulated mu integrates mu' = -chi' Z^2 alongside Z.
-    """
+    """Fixed-step RK4 integration of the coherence ODE from Z(0) = 0."""
     ka = TWO_PI * p.kappa
     cpa = TWO_PI * p.chi_prime
-    n_th = p.occupation
+    source = 2.0 * ka * p.n_th
+    if model == "cubic":
+        def f(z):
+            return -2j * cpa * (z**3 + 2.0 * z**2) - ka * z + source
+    elif model == "quadratic":
+        def f(z):
+            return -4j * cpa * z**2 - ka * z + source
+    else:
+        raise ValueError(f"model must be 'cubic' or 'quadratic', got {model!r}")
     if dt > 1.0 / (50.0 * ka):
         raise ValueError(f"dt = {dt:.3e} s violates dt <= 1/(50 kappa) = {1.0/(50.0*ka):.3e} s")
     steps = max(1, int(round(t_end / dt)))
     times = np.arange(steps + 1) * dt
 
-    def f(state):
-        z, _ = state
-        return np.array([_z_rhs(z, ka, cpa, n_th, model), -cpa * z**2])
-
-    def check(k, y):
-        if abs(y[0]) > 1e3:
+    def check(k, z):
+        if abs(z) > 1e3:
             raise ConvergenceError(f"|Z| diverged at t = {times[k]:.3e} s")
 
-    Z, mu = rk4(f, np.array([0.0 + 0j, 0.0 + 0j]), dt, steps, check).T
-    return ZTrajectory(times=times, Z=Z, mu=mu)
+    return ZTrajectory(times=times, Z=rk4(f, 0.0 + 0j, dt, steps, check))
 
 
 def z_quadratic_analytic(p: DephasingParams) -> complex:
@@ -138,26 +119,22 @@ def z_quadratic_analytic(p: DephasingParams) -> complex:
     principal branch with Re sqrt > 0; continuous limit 2 n_th at chi' = 0."""
     ka = TWO_PI * p.kappa
     cpa = TWO_PI * p.chi_prime
-    n_th = p.occupation
     if cpa == 0.0:
-        return complex(2.0 * n_th)
-    root = np.sqrt(ka**2 + 32j * ka * n_th * cpa)
+        return complex(2.0 * p.n_th)
+    root = np.sqrt(ka**2 + 32j * ka * p.n_th * cpa)
     if root.real < 0:
         root = -root
     return (1j / (8.0 * cpa)) * (ka - root)
 
 
-def gamma_from_Z(Z_ss: complex, chi_prime: float, method: str = "quadratic_analytic") -> DephasingResult:
-    """Gamma = -chi' Im(Z^2), Delta = -chi' Re(Z^2) (angular chi')."""
-    cpa = TWO_PI * chi_prime
-    z2 = Z_ss * Z_ss
-    gamma = -cpa * z2.imag
-    delta = -cpa * z2.real
+def gamma_from_Z(Z_ss: complex, chi_prime: float) -> DephasingResult:
+    """Gamma = -chi' Im(Z^2) (angular chi')."""
+    gamma = -TWO_PI * chi_prime * (Z_ss * Z_ss).imag
     if gamma < -1e-12:
         raise ValueError(
             f"negative dephasing rate {gamma:.3e}: square-root branch or sign convention error"
         )
-    return DephasingResult(gamma=max(gamma, 0.0), delta=delta, method=method)
+    return DephasingResult(max(gamma, 0.0))
 
 
 def gamma_ode(p: DephasingParams, model: str = "cubic") -> DephasingResult:
@@ -181,7 +158,7 @@ def gamma_ode(p: DephasingParams, model: str = "cubic") -> DephasingResult:
         warnings.warn("Z ODE did not meet the steady-state criterion within 50/kappa", stacklevel=2)
     tail = max(1, len(Z) // 10)
     Z_ss = complex(np.mean(Z[-tail:]))
-    return gamma_from_Z(Z_ss, p.chi_prime, method=f"ode_{model}")
+    return gamma_from_Z(Z_ss, p.chi_prime)
 
 
 def gamma_closed_form(p: DephasingParams, combine: bool = True) -> DephasingResult:
@@ -194,7 +171,7 @@ def gamma_closed_form(p: DephasingParams, combine: bool = True) -> DephasingResu
         gamma = g_lin + g_nl
     else:
         gamma = g_nl if p.chi == 0.0 else g_lin
-    return DephasingResult(gamma=gamma, delta=0.0, method="closed_form")
+    return DephasingResult(gamma)
 
 
 def dephasing_curve(

@@ -61,7 +61,6 @@ class ShiftReport:
     K_r1: float
     nu_r_dressed: float
     nu_q_dressed: float
-    nu_e: float | None = None
 
 
 def label_dressed_states(
@@ -136,9 +135,6 @@ def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
     K_r0 = (E[(0, 2)] - 2.0 * E[(0, 1)] + E[(0, 0)]) / TWO_PI
     K_r1 = (E[(1, 2)] - 2.0 * E[(1, 1)] + E[(1, 0)]) / TWO_PI
     chi_prime = (K_r1 - K_r0) / 4.0
-    nu_e = None
-    if (2, 0) in ds.labels:
-        nu_e = (ds.energy(2, 0) - E[(0, 0)]) / TWO_PI
     return ShiftReport(
         chi=chi,
         chi_prime=chi_prime,
@@ -146,7 +142,6 @@ def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
         K_r1=K_r1,
         nu_r_dressed=0.5 * (wr0 + wr1) / TWO_PI,
         nu_q_dressed=(E[(1, 0)] - E[(0, 0)]) / TWO_PI,
-        nu_e=nu_e,
     )
 
 

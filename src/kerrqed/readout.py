@@ -70,7 +70,7 @@ class ReadoutTrajectory:
     """Coherent amplitudes for both qubit states plus SNR(t) and error(t).
 
     alpha0 is the sigma_z = +1 (qubit |0>) branch, alpha1 the sigma_z = -1
-    branch.
+    branch, its complex conjugate.
     """
 
     times: np.ndarray
@@ -156,7 +156,8 @@ def calibrate_drive(cfg: ReadoutConfig) -> float:
 
 
 def integrate_trajectory(cfg: ReadoutConfig) -> ReadoutTrajectory:
-    """RK4 integration of both sigma_z branches from alpha(0) = 0."""
+    """RK4 integration from alpha(0) = 0 of the sigma_z = +1 branch only: eps
+    is real, so sigma_z -> -sigma_z conjugates the equation of motion."""
     eps = cfg.epsilon if cfg.epsilon is not None else calibrate_drive(cfg)
     dt = cfg.step
     steps = max(1, int(round(cfg.t_end / dt)))
@@ -169,14 +170,11 @@ def integrate_trajectory(cfg: ReadoutConfig) -> ReadoutTrajectory:
                 f"runaway amplitude |alpha|^2 = {abs(al)**2:.2f} > 2 n_steady"
             )
 
-    def branch(sz):
-        return rk4(lambda al: rhs(al, sz, cfg, epsilon=eps), 0.0 + 0.0j, dt, steps, check)
-
-    alpha0, alpha1 = branch(+1), branch(-1)
+    alpha0 = rk4(lambda al: rhs(al, +1, cfg, epsilon=eps), 0.0 + 0.0j, dt, steps, check)
     traj = ReadoutTrajectory(
         times=times,
         alpha0=alpha0,
-        alpha1=alpha1,
+        alpha1=alpha0.conj(),
         snr=np.zeros(steps + 1),
         error=np.full(steps + 1, 0.5),
         kappa=cfg.kappa,

@@ -251,6 +251,22 @@ class TestRun:
         ratios = [b / a for a, b in zip(temps, temps[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
 
+    def test_deep_cold_temperature_point(self, tmp_path):
+        # h nu_r / k_B T = 768 at 0.5 mK: n_th underflows to 0 instead of raising
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "dephasing_curve",
+                "params": {"chi_prime": "1 MHz", "kappa": "3 MHz", "nu_r": "8 GHz"},
+                "grid": [{"name": "T", "start": "0.5 mK", "stop": "50 mK", "count": 3}],
+            },
+        )
+        out = tmp_path / "cold.csv"
+        assert run(path, out_path=str(out), fmt="csv") == 0
+        columns, rows = read_rows(out)
+        assert all(r[columns.index("fail")] == "" for r in rows)
+        assert rows[0][columns.index("T_phi_s")] == "inf"
+
 
 class TestLibraryAgreement:
     """A CLI sweep row equals the library's row for the same point."""

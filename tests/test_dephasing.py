@@ -19,13 +19,10 @@ from kerrqed.errors import ConvergenceError
 
 
 class TestParams:
-    def test_exactly_one_occupation_source(self):
-        with pytest.raises(ValueError):
+    def test_n_th_required(self):
+        with pytest.raises(TypeError):
             DephasingParams(kappa=3e6)
-        with pytest.raises(ValueError):
-            DephasingParams(kappa=3e6, n_th=1e-3, T_eff=0.05, nu_r=7e9)
-        p = DephasingParams(kappa=3e6, T_eff=0.05, nu_r=7e9)
-        assert p.occupation > 0
+        assert DephasingParams(kappa=3e6, n_th=thermal_occupation(7e9, 0.05)).n_th > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,6 +43,10 @@ class TestThermalOccupation:
         # n -> k_B T / (h nu)
         n = thermal_occupation(1e9, 10.0)
         assert n == pytest.approx(1.380649e-23 * 10 / (6.62607015e-34 * 1e9), rel=1e-2)
+
+    def test_deep_cold_underflows(self):
+        # h * 8 GHz / (k_B * 0.5 mK) = 768, past where expm1 overflows
+        assert thermal_occupation(8e9, 0.5e-3) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -121,12 +122,14 @@ class TestZOde:
         with pytest.raises(ValueError):
             gamma_from_Z(1.0 + 1.0j, 1e6)
 
-    def test_mu_accumulates(self):
+    def test_z_is_complex_series(self):
         p = DephasingParams(kappa=3e6, chi_prime=0.5e6, n_th=1e-2)
         ka = 2 * math.pi * p.kappa
         traj = z_trajectory(p, t_end=10 / ka, dt=1 / (100 * ka))
         assert isinstance(traj, ZTrajectory)
-        assert abs(traj.mu[-1]) > 0
+        assert traj.Z.dtype == complex
+        assert traj.Z.shape == traj.times.shape == (1001,)
+        assert traj.Z[0] == 0 and abs(traj.Z[-1].imag) > 0
 
 
 class TestCurve:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kerrqed.errors import ConvergenceError
+from kerrqed.ode import rk4
 from kerrqed.readout import (
     ReadoutConfig,
     calibrate_drive,
@@ -121,6 +122,22 @@ class TestTrajectory:
         traj = integrate_trajectory(config())
         scale = np.abs(traj.alpha0[1:])
         assert np.all(np.abs(np.abs(traj.alpha1[1:]) - scale) <= 1e-9 * scale)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"chi": 0.4e6}, {"chi": -0.3e6, "chi_prime": -0.05e6}],
+        ids=["base", "chi_pos", "chi_neg_kerr_neg"],
+    )
+    def test_minus_branch_is_conjugate(self, overrides):
+        # sigma_z = -1 integrated on its own equals the conjugated +1 branch
+        cfg = config(**overrides)
+        traj = integrate_trajectory(cfg)
+        steps = len(traj.times) - 1
+        direct = rk4(
+            lambda al: rhs(al, -1, cfg, epsilon=traj.epsilon),
+            0.0 + 0.0j, cfg.step, steps, lambda k, al: None,
+        )
+        assert np.array_equal(direct, traj.alpha1)
 
     def test_dt_convergence(self):
         cfg = config()
