@@ -36,12 +36,12 @@ import numpy as np
 
 from . import __version__
 from .dephasing import DephasingParams, gamma_closed_form, thermal_occupation
-from .dispersive import cpt_shifts, mixed_model_shifts
+from .dispersive import cpt_shifts, mixed_shift_batch
 from .diagnostics import overlap_scan as _overlap_scan
 from .errors import KerrqedError
 from .models import CptParams, MixedCouplingParams, build_mixed_spin_boson
 from .readout import ReadoutConfig, integrate_trajectory, read_at
-from .sweep import grid
+from .sweep import batch, grid
 from .units import UnitError, parse_quantity
 
 
@@ -134,9 +134,13 @@ def parse_grid(experiment, raw_grid):
     return axes
 
 
-def _point_shift_sweep(p):
-    rep = mixed_model_shifts(MixedCouplingParams(**p))
-    return {"chi_Hz": rep.chi, "chi_prime_Hz": rep.chi_prime}
+@batch
+def _batch_shift_sweep(p):
+    chi, chi_prime, errors = mixed_shift_batch(p["nu_q"], p["nu_r"], p["n_max"], p["g_X"], p["g_P"])
+    return [
+        {"chi_Hz": float(c), "chi_prime_Hz": float(cp)} if exc is None else exc
+        for c, cp, exc in zip(chi, chi_prime, errors)
+    ]
 
 
 def _point_cpt_sweep(p):
@@ -203,7 +207,8 @@ class Experiment(NamedTuple):
     params maps name -> (kind, required, default).  Kinds `frequency`,
     `time` and `temperature` are unit strings; `number`, `int`, `bool` and
     `int_list` are plain JSON values.  An experiment with grid axes has
-    rule(params) -> {column: value} for its value columns; one without runs
+    rule(params) -> {column: value} for its value columns, or a batch rule
+    (`sweep.batch`) returning one such dict per point; one without runs
     once, and rule(params) -> (columns, rows).
     """
 
@@ -225,7 +230,7 @@ EXPERIMENTS = {
             "g_P": ("frequency", False, 0.0),
         },
         ("g_X", "g_P"),
-        _point_shift_sweep,
+        _batch_shift_sweep,
         ("chi_Hz", "chi_prime_Hz"),
     ),
     "cpt_sweep": Experiment(
@@ -445,7 +450,13 @@ def build_parser():
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", default=None, help="output path (overrides config; default stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker thread pool size (default 1)")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker thread pool size for per-point experiments (default 1); "
+        "shift_sweep runs as one batched solve",
+    )
     p_run.add_argument(
         "--keep-going", action="store_true", help="record per-point failures instead of exiting 2"
     )

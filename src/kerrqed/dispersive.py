@@ -8,6 +8,7 @@ E(q,0) and chi' = (K_r1 - K_r0)/4.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,16 +16,23 @@ import numpy as np
 from .constants import TWO_PI
 from .errors import LabelingError
 from .models import (
+    STRONG_COUPLING_WARNING,
     CptParams,
     MixedCouplingParams,
     build_cpt_hamiltonian,
     build_mixed_spin_boson,
     cpt_island_hamiltonian,
+    strong_coupling,
 )
-from .qspace import Boson, EigenSystem, HilbertSpace, eigendecompose
-from .sweep import grid
+from .qspace import Boson, EigenSystem, HilbertSpace, eigendecompose, require_hermitian
 
 DEFAULT_OVERLAP_FLOOR = 0.5
+# Points per stacked solve in mixed_shift_batch; bounds the stack's memory on
+# large grids.  On a 31x31 grid one unchunked stack was no faster and raised
+# peak RSS by ~3%.
+BATCH_CHUNK = 256
+# The labels the shift extraction reads, in the order a missing one is reported.
+SHIFT_LABELS = tuple((q, n) for q in (0, 1) for n in (0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,14 @@ class ShiftReport:
     nu_q_dressed: float
 
 
+def _check_levels(q_levels, n_levels, dq, db):
+    if q_levels > dq or n_levels > db:
+        raise LabelingError(
+            f"requested (q_levels={q_levels}, n_levels={n_levels}) exceeds factor "
+            f"dimensions ({dq}, {db})"
+        )
+
+
 def label_dressed_states(
     es: EigenSystem,
     space: HilbertSpace,
@@ -80,16 +96,13 @@ def label_dressed_states(
     (rad/s).  qubit_vectors columns give the bare qubit states in ascending
     energy; by default the qubit is a SpinHalf with ground state sigma_z = -1
     (basis index 1), matching a +omega_q/2 sigma_z bare Hamiltonian.
-    Assignments with best overlap below overlap_floor are left unlabeled.
+    Assignments with best overlap below overlap_floor are left unlabeled;
+    their best candidates are listed once each in `unassigned`.
     """
     if len(space.factors) != 2 or not isinstance(space.factors[1], Boson):
         raise ValueError("labeling expects a two-factor space (qubit x Boson)")
     dq, db = space.factor_dims()
-    if q_levels > dq or n_levels > db:
-        raise LabelingError(
-            f"requested (q_levels={q_levels}, n_levels={n_levels}) exceeds factor "
-            f"dimensions ({dq}, {db})"
-        )
+    _check_levels(q_levels, n_levels, dq, db)
     if qubit_vectors is None:
         if dq != 2:
             raise ValueError("qubit_vectors required for non-spin qubit factors")
@@ -114,7 +127,8 @@ def label_dressed_states(
         if best is None:
             raise LabelingError("ran out of eigenstates during labeling")
         if overlaps[best] < overlap_floor:
-            unassigned.append(best)
+            if best not in unassigned:
+                unassigned.append(best)
             continue
         used.add(best)
         labels[(q, n)] = (float(es.energies[best]), float(overlaps[best]), best)
@@ -123,38 +137,148 @@ def label_dressed_states(
     )
 
 
-def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
-    """chi, chi', and conditioned self-Kerr values from labeled energies."""
-    E = {}
-    for q in (0, 1):
-        for n in (0, 1, 2):
-            E[(q, n)] = ds.energy(q, n)
+def _shift_values(E):
+    """(chi, chi', K_r0, K_r1, nu_r_dressed, nu_q_dressed) in Hz from the
+    labeled energies E[(q, n)] in rad/s; scalars and arrays alike."""
     wr0 = E[(0, 1)] - E[(0, 0)]
     wr1 = E[(1, 1)] - E[(1, 0)]
-    chi = (wr1 - wr0) / (2.0 * TWO_PI)
     K_r0 = (E[(0, 2)] - 2.0 * E[(0, 1)] + E[(0, 0)]) / TWO_PI
     K_r1 = (E[(1, 2)] - 2.0 * E[(1, 1)] + E[(1, 0)]) / TWO_PI
-    chi_prime = (K_r1 - K_r0) / 4.0
-    return ShiftReport(
-        chi=chi,
-        chi_prime=chi_prime,
-        K_r0=K_r0,
-        K_r1=K_r1,
-        nu_r_dressed=0.5 * (wr0 + wr1) / TWO_PI,
-        nu_q_dressed=(E[(1, 0)] - E[(0, 0)]) / TWO_PI,
+    return (
+        (wr1 - wr0) / (2.0 * TWO_PI),
+        (K_r1 - K_r0) / 4.0,
+        K_r0,
+        K_r1,
+        0.5 * (wr0 + wr1) / TWO_PI,
+        (E[(1, 0)] - E[(0, 0)]) / TWO_PI,
     )
 
 
+def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
+    """chi, chi', and conditioned self-Kerr values from labeled energies."""
+    return ShiftReport(*_shift_values({label: ds.energy(*label) for label in SHIFT_LABELS}))
+
+
+def _mixed_blocks(nu_q, nu_r, n_max):
+    """The two parity blocks of the mixed model, H = H0 + g_X V_X + g_P V_P.
+
+    H commutes with sigma_z (-1)^(a+a).  Returns the full-basis rows of each
+    block, each block's (H0, V_X, V_P) with V in rad/s per Hz of coupling,
+    and the labels as (q, n, block, row within block) in ascending bare
+    energy, the visiting order of label_dressed_states.
+    """
+    H0 = build_mixed_spin_boson(MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max))
+    # V_X and V_P do not depend on nu_q, nu_r: take them as exact differences
+    # at a far-detuned point, where a 1 Hz coupling never warns.
+    ref = [
+        build_mixed_spin_boson(MixedCouplingParams(1e9, 2e9, g_X, g_P, n_max))
+        for g_X, g_P in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    ]
+    dim = n_max + 1
+    _check_levels(2, 3, 2, dim)
+    parity = np.outer([1, -1], (-1) ** np.arange(dim)).ravel()
+    cross = parity[:, None] != parity[None, :]
+    ops = {"H0": H0, "V_X": ref[1] - ref[0], "V_P": ref[2] - ref[0]}
+    for name, M in ops.items():
+        require_hermitian(M, what=f"mixed-model {name}")
+        if np.any(M[cross] != 0):
+            raise ValueError(f"mixed-model {name} couples the two parity blocks")
+    rows = [np.flatnonzero(parity == s) for s in (1, -1)]
+    blocks = [tuple(M[np.ix_(r, r)] for M in ops.values()) for r in rows]
+
+    qubit_energies = np.array([-0.5 * nu_q, 0.5 * nu_q]) * TWO_PI
+    bare = sorted(
+        (qubit_energies[q] + n * (TWO_PI * nu_r), q, n) for q in range(2) for n in range(3)
+    )
+    order = []
+    for _, q, n in bare:
+        i = (1 - q) * dim + n  # |q=0> is sigma_z = -1, basis index 1
+        b = 0 if parity[i] == 1 else 1
+        order.append((q, n, b, int(np.searchsorted(rows[b], i))))
+    return rows, blocks, order
+
+
+def _solve(blocks, order, g_X, g_P):
+    """Stacked eigh of each parity block over the points (g_X, g_P arrays),
+    then the greedy labeling of label_dressed_states on every point at once.
+
+    Returns [(energies, vectors)] per block, stacked over the points, and
+    {(q, n): (block, eigenindex, overlap, labeled)} with arrays over the
+    points, in visiting order.  Within its block a bare state is a unit
+    vector, so its overlaps are a row of the eigenvector matrix squared.
+    """
+    eig = [
+        np.linalg.eigh(H0 + g_X[:, None, None] * V_X + g_P[:, None, None] * V_P)
+        for H0, V_X, V_P in blocks
+    ]
+    points = np.arange(len(g_X))
+    used = [np.zeros(w.shape, dtype=bool) for w, _ in eig]
+    labels = {}
+    for q, n, b, row in order:
+        candidates = np.where(used[b], -1.0, np.abs(eig[b][1][:, row, :]) ** 2)
+        k = np.argmax(candidates, axis=1)
+        overlap = candidates[points, k]
+        ok = overlap >= DEFAULT_OVERLAP_FLOOR
+        used[b][points[ok], k[ok]] = True
+        labels[(q, n)] = (b, k, overlap, ok)
+    return eig, labels
+
+
+def mixed_shift_batch(nu_q, nu_r, n_max, g_X, g_P):
+    """chi and chi' (Hz) of the mixed model at each (g_X, g_P) point.
+
+    g_X and g_P broadcast against each other and are read flattened.
+    Returns (chi, chi_prime, errors): arrays over the points, NaN where the
+    point's labeling failed, and per point None or its LabelingError.
+    Warns once per point whose couplings exceed 10% of the detuning.
+    """
+    _, blocks, order = _mixed_blocks(nu_q, nu_r, n_max)
+    g_X, g_P = np.broadcast_arrays(np.asarray(g_X, float), np.asarray(g_P, float))
+    g_X, g_P = g_X.ravel(), g_P.ravel()
+    for _ in range(np.count_nonzero(strong_coupling(nu_q, nu_r, g_X, g_P))):
+        warnings.warn(STRONG_COUPLING_WARNING, stacklevel=2)
+    chi, chi_prime = np.empty(g_X.size), np.empty(g_X.size)
+    errors = [None] * g_X.size
+    for start in range(0, g_X.size, BATCH_CHUNK):
+        part = slice(start, start + BATCH_CHUNK)
+        eig, labels = _solve(blocks, order, g_X[part], g_P[part])
+        labeled = np.logical_and.reduce([labels[label][3] for label in SHIFT_LABELS])
+        E = {
+            label: np.where(labeled, eig[b][0][np.arange(k.size), k], np.nan)
+            for label, (b, k, _, _) in labels.items()
+        }
+        chi[part], chi_prime[part] = _shift_values(E)[:2]
+        for q, n in reversed(SHIFT_LABELS):
+            for i in np.flatnonzero(~labels[(q, n)][3]):
+                errors[start + i] = LabelingError(f"no dressed label for (q={q}, n={n})")
+    return chi, chi_prime, errors
+
+
 def mixed_model_spectrum(p: MixedCouplingParams) -> DressedSpectrum:
-    """Diagonalize the minimal mixed model and label (q, n) for q < 2, n < 3."""
-    es = eigendecompose(build_mixed_spin_boson(p))
-    return label_dressed_states(
-        es,
-        p.space(),
-        q_levels=2,
-        n_levels=3,
-        qubit_energies=np.array([-0.5 * p.nu_q, 0.5 * p.nu_q]) * TWO_PI,
-        boson_freq=TWO_PI * p.nu_r,
+    """Label (q, n) for q < 2, n < 3 of the minimal mixed model, solved as a
+    batch of one; the blocks' eigenvectors are scattered back into the full
+    basis, with energies ascending."""
+    rows, blocks, order = _mixed_blocks(p.nu_q, p.nu_r, p.n_max)
+    eig, labels = _solve(blocks, order, np.array([p.g_X], float), np.array([p.g_P], float))
+    dim = p.n_max + 1
+    energies = np.concatenate([w[0] for w, _ in eig])
+    vectors = np.zeros((2 * dim, 2 * dim), dtype=eig[0][1].dtype)
+    for b, (r, (_, v)) in enumerate(zip(rows, eig)):
+        vectors[r, b * dim : (b + 1) * dim] = v[0]
+    ascending = np.argsort(energies, kind="stable")
+    position = np.argsort(ascending)
+    out, unassigned = {}, []
+    for label, (b, k, overlap, ok) in labels.items():
+        j = b * dim + int(k[0])
+        if ok[0]:
+            out[label] = (float(energies[j]), float(overlap[0]), int(position[j]))
+        elif position[j] not in unassigned:
+            unassigned.append(int(position[j]))
+    return DressedSpectrum(
+        labels=out,
+        unassigned=tuple(unassigned),
+        eigensystem=EigenSystem(energies[ascending], vectors[:, ascending]),
+        space=p.space(),
     )
 
 
@@ -174,18 +298,14 @@ def mixed_shift_grid(nu_q, nu_r, g_X_values, g_P_values, n_max):
     """chi and chi' (Hz) over a (g_X, g_P) grid; arrays indexed [i_gX, i_gP].
 
     A failed point raises the first failure in grid order."""
-    points = grid(
-        lambda p: mixed_model_shifts(MixedCouplingParams(**p)),
-        {"nu_q": nu_q, "nu_r": nu_r, "n_max": n_max},
-        [("g_X", g_X_values), ("g_P", g_P_values)],
-    )
-    for _, _, exc in points:
+    g_X = np.asarray(g_X_values, float)[:, None]
+    g_P = np.asarray(g_P_values, float)[None, :]
+    chi, chi_prime, errors = mixed_shift_batch(nu_q, nu_r, n_max, g_X, g_P)
+    for exc in errors:
         if exc is not None:
             raise exc
-    shape = (len(g_X_values), len(g_P_values))
-    chi = np.reshape([rep.chi for _, rep, _ in points], shape)
-    chip = np.reshape([rep.chi_prime for _, rep, _ in points], shape)
-    return chi, chip
+    shape = (g_X.size, g_P.size)
+    return chi.reshape(shape), chi_prime.reshape(shape)
 
 
 def cpt_spectrum(p: CptParams) -> DressedSpectrum:

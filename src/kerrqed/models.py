@@ -17,6 +17,17 @@ from .errors import DegeneratePointError
 from .qspace import Boson, Charge, HilbertSpace, SpinHalf, annihilation, pauli
 
 
+STRONG_COUPLING_WARNING = (
+    "couplings exceed 10% of the qubit-resonator detuning; "
+    "weak-coupling (perturbative) assumptions may fail"
+)
+
+
+def strong_coupling(nu_q, nu_r, g_X, g_P):
+    """Whether max(|g_X|, |g_P|) exceeds 10% of |nu_r - nu_q|; elementwise on arrays."""
+    return np.maximum(np.abs(g_X), np.abs(g_P)) > 0.1 * np.abs(nu_r - nu_q)
+
+
 @dataclass(frozen=True)
 class MixedCouplingParams:
     """Minimal mixed-coupling model: qubit nu_q, resonator nu_r, couplings
@@ -35,13 +46,8 @@ class MixedCouplingParams:
             raise ValueError("dispersive regime requires nu_q != nu_r")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        detuning = abs(self.nu_r - self.nu_q)
-        if max(abs(self.g_X), abs(self.g_P)) > 0.1 * detuning:
-            warnings.warn(
-                "couplings exceed 10% of the qubit-resonator detuning; "
-                "weak-coupling (perturbative) assumptions may fail",
-                stacklevel=2,
-            )
+        if strong_coupling(self.nu_q, self.nu_r, self.g_X, self.g_P):
+            warnings.warn(STRONG_COUPLING_WARNING, stacklevel=2)
 
     def space(self) -> HilbertSpace:
         return HilbertSpace((SpinHalf(), Boson(self.n_max)))

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import HermiticityError
 
 HERMITICITY_RTOL = 1e-12
-RECONSTRUCTION_RTOL = 1e-10
 
 
 @dataclass(frozen=True)

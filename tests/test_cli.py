@@ -14,6 +14,7 @@ from kerrqed.cli import (
 )
 from kerrqed.dephasing import dephasing_curve
 from kerrqed.dispersive import mixed_model_shifts
+from kerrqed.errors import LabelingError
 from kerrqed.models import MixedCouplingParams
 from kerrqed.readout import ReadoutConfig, error_curve_sweep
 from kerrqed.units import UnitError, parse_quantity
@@ -211,6 +212,38 @@ class TestRun:
         out2 = tmp_path / "cpt2.csv"
         assert run(path, out_path=str(out2), fmt="csv", jobs=2, keep_going=True) == 0
         assert read_rows(out2) == (columns, rows)
+
+    def test_shift_sweep_records_failed_points(self, tmp_path):
+        # g_X = 3 GHz, g_P = 1 GHz at 4/8 GHz is the ultrastrong point whose
+        # labeling fails; nu_q = nu_r fails every point of its grid
+        grid = [{"name": "g_X", "start": "10 MHz", "stop": "3 GHz", "count": 2}]
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "shift_sweep",
+                "params": {"nu_q": "4 GHz", "nu_r": "8 GHz", "g_P": "1 GHz", "n_max": 10},
+                "grid": grid,
+            },
+        )
+        out = tmp_path / "ultra.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(path, out_path=str(out), fmt="csv") == 2
+            ok = mixed_model_shifts(MixedCouplingParams(4e9, 8e9, 10e6, 1e9, 10))
+            with pytest.raises(LabelingError) as failed:
+                mixed_model_shifts(MixedCouplingParams(4e9, 8e9, 3e9, 1e9, 10))
+        # the fail message holds a comma, so read_rows splits it in two
+        _, rows = read_rows(out)
+        assert rows[0] == ["10000000.0", repr(ok.chi), repr(ok.chi_prime), ""]
+        assert rows[1][:3] == ["3000000000.0", "", ""]
+        assert ",".join(rows[1][3:]) == str(failed.value)
+        path = write_config(
+            tmp_path,
+            {"experiment": "shift_sweep", "params": {"nu_q": "8 GHz", "nu_r": "8 GHz"}, "grid": grid},
+        )
+        assert run(path, out_path=str(out), fmt="csv", keep_going=True) == 0
+        _, rows = read_rows(out)
+        assert [row[-1] for row in rows] == ["dispersive regime requires nu_q != nu_r"] * 2
 
     def test_warnings_reach_caller(self, tmp_path):
         # 1 MHz detuning: every coupling exceeds 10% of it

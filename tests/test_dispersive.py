@@ -2,20 +2,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import kerrqed.dispersive
 from kerrqed.constants import TWO_PI
 from kerrqed.dispersive import (
+    BATCH_CHUNK,
     CHI_ANALYTIC_TO_NUMERIC,
     chi_analytic,
     chi_prime_noise_floor,
     chi_zero_gp,
     cpt_shifts,
+    cpt_spectrum,
     deltaH_coefficients,
     extract_shifts,
     label_dressed_states,
     mixed_model_shifts,
     mixed_model_spectrum,
+    mixed_shift_batch,
     mixed_shift_grid,
 )
 from kerrqed.errors import LabelingError
@@ -82,6 +87,26 @@ class TestLabeling:
         )
         assert len(ds.unassigned) > 0
         assert (1, 0) not in ds.labels or (0, 1) not in ds.labels
+
+    def test_unassigned_lists_each_index_once(self):
+        # criterion-9 circuit at (E_J_delta, E_C_delta) = (1.5, 8.8) GHz: the
+        # (0, 2) and (1, 2) best candidates are both eigenindex 15, below the floor
+        ejd, ecd = 1.5e9, 8.8e9
+        p = CptParams(
+            E_J1=9e9 + ejd / 2,
+            E_J2=9e9 - ejd / 2,
+            E_C1=5e9 + ecd / 2,
+            E_C2=5e9 - ecd / 2,
+            E_Cr=10e9,
+            E_Lr=100e9,
+            n_g=0.5,
+            phi_ext=3.0,
+            n_charge_max=6,
+            n_fock=8,
+        )
+        ds = cpt_spectrum(p)
+        assert ds.unassigned == (15,)
+        assert sorted(ds.labels) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
 
     def test_missing_label_raises(self):
         ds = mixed_model_spectrum(mixed(0.0, 0.0, n_max=5))
@@ -173,6 +198,84 @@ class TestRealMixedHamiltonian:
             warnings.simplefilter("ignore")
             with pytest.raises(LabelingError):
                 mixed_shift_grid(4e9, 8e9, [10e6, 3e9], [1e9], 10)
+
+
+NU_R = 8e9
+# Points of the benchmark's shift_sweep box (nu_q 4.5-5.5 GHz, g 0-150 MHz)
+# and of nu_q within 10 MHz of nu_r (g of either sign up to 150 MHz), at
+# nu_r = 8 GHz and n_max = 10.  Seeds and ranges are fixed; do not narrow them.
+BOX = (st.floats(4.5e9, 5.5e9), (0.0, 150e6))
+NEAR = (st.floats(7.99e9, 8.01e9).filter(lambda nu_q: nu_q != NU_R), (-150e6, 150e6))
+ULTRASTRONG = (4e9, 3e9, 1e9)  # (nu_q, g_X, g_P): labeling fails
+
+
+def region_points(region):
+    nu_q, (lo, hi) = region
+    return st.tuples(nu_q, st.floats(lo, hi), st.floats(lo, hi))
+
+
+def per_point_shifts(p):
+    """The per-point path the batched engine replaced: a full
+    eigendecompose of H and label_dressed_states."""
+    ds = label_dressed_states(
+        eigendecompose(build_mixed_spin_boson(p)),
+        p.space(),
+        q_levels=2,
+        n_levels=3,
+        qubit_energies=np.array([-0.5 * p.nu_q, 0.5 * p.nu_q]) * TWO_PI,
+        boson_freq=TWO_PI * p.nu_r,
+    )
+    return extract_shifts(ds)
+
+
+class TestBatchedEngine:
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(point=st.one_of(region_points(BOX), region_points(NEAR)))
+    @example(point=ULTRASTRONG)
+    def test_matches_per_point_path(self, point):
+        nu_q, g_X, g_P = point
+        p = mixed(g_X, g_P, nu_q=nu_q, nu_r=NU_R)
+        outcomes = []
+        for solve in (per_point_shifts, mixed_model_shifts):
+            try:
+                outcomes.append(solve(p))
+            except LabelingError:
+                outcomes.append(None)
+        ref, got = outcomes
+        assert (ref is None) == (got is None)
+        if ref is not None:
+            eps = np.finfo(np.float64).eps
+            tol = 1e3 * eps * np.linalg.norm(build_mixed_spin_boson(p), 2) / TWO_PI
+            assert abs(got.chi - ref.chi) <= tol
+            assert abs(got.chi_prime - ref.chi_prime) <= tol
+        # every labeled vector has a definite parity sigma_z (-1)^(a+a)
+        ds = mixed_model_spectrum(p)
+        parity = np.kron([1.0, -1.0], (-1.0) ** np.arange(p.n_max + 1))
+        for q, n in ds.labels:
+            v = ds.vector(q, n)
+            assert abs(v @ (parity * v)) >= 1.0 - 1e-12
+
+    @seed(20261019)
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(region=st.sampled_from([BOX, NEAR]), data=st.data())
+    def test_batch_of_one_is_bitwise_in_batch(self, region, data):
+        # BATCH_CHUNK + 44 drawn points plus the ultrastrong couplings span two chunks
+        nu_q = data.draw(region[0])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g_X = np.append(rng.uniform(*region[1], BATCH_CHUNK + 44), ULTRASTRONG[1])
+        g_P = np.append(rng.uniform(*region[1], BATCH_CHUNK + 44), ULTRASTRONG[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            chi, chi_prime, errors = mixed_shift_batch(nu_q, NU_R, 10, g_X, g_P)
+        for i in range(g_X.size):
+            try:
+                rep = mixed_model_shifts(mixed(g_X[i], g_P[i], nu_q=nu_q, nu_r=NU_R))
+            except LabelingError as exc:
+                assert str(errors[i]) == str(exc) and np.isnan(chi[i])
+                continue
+            assert errors[i] is None
+            assert chi[i] == rep.chi and chi_prime[i] == rep.chi_prime
 
 
 class TestAnalyticFormulas:

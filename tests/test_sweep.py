@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kerrqed.errors import ConvergenceError
-from kerrqed.sweep import grid
+from kerrqed.sweep import batch, grid
 
 
 def point(p):
@@ -11,12 +11,24 @@ def point(p):
     return p["x"] * p["y"] + p["c"]
 
 
+@batch
+def batch_point(p):
+    return [
+        ConvergenceError("no root") if (x, y) == (2.0, 10.0) else x * y + p["c"]
+        for x, y in zip(p["x"], p["y"])
+    ]
+
+
 class TestGrid:
     axes = [("x", np.array([1, 2])), ("y", [10.0, 20.0, 30.0])]
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_row_major_with_failures(self, jobs):
-        out = grid(point, {"c": 0.5}, self.axes, jobs=jobs)
+    @pytest.mark.parametrize(
+        "jobs, rule",
+        [(1, point), (3, point), (1, batch_point), (3, batch_point)],
+        ids=["1", "3", "batch-1", "batch-3"],
+    )
+    def test_row_major_with_failures(self, jobs, rule):
+        out = grid(rule, {"c": 0.5}, self.axes, jobs=jobs)
         assert [values for values, _, _ in out] == [
             (1.0, 10.0), (1.0, 20.0), (1.0, 30.0), (2.0, 10.0), (2.0, 20.0), (2.0, 30.0)
         ]
@@ -24,6 +36,16 @@ class TestGrid:
         assert [result for _, result, _ in out] == [10.5, 20.5, 30.5, None, 40.5, 60.5]
         failures = [exc for _, _, exc in out if exc is not None]
         assert len(failures) == 1 and isinstance(failures[0], ConvergenceError)
+
+    def test_batch_rule_raising_fails_every_point(self):
+        @batch
+        def rule(p):
+            raise ConvergenceError("no grid")
+
+        out = grid(rule, {}, self.axes)
+        assert [values for values, _, _ in out] == [(1.0, 10.0), (1.0, 20.0), (1.0, 30.0),
+                                                   (2.0, 10.0), (2.0, 20.0), (2.0, 30.0)]
+        assert all(result is None and str(exc) == "no grid" for _, result, exc in out)
 
     def test_no_axes_runs_once_on_base(self):
         assert grid(lambda p: dict(p), {"a": 1}, []) == [((), {"a": 1}, None)]
