@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,15 +160,15 @@ def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
     return ShiftReport(*_shift_values({label: ds.energy(*label) for label in SHIFT_LABELS}))
 
 
-def _mixed_blocks(nu_q, nu_r, n_max):
-    """The two parity blocks of the mixed model, H = H0 + g_X V_X + g_P V_P.
+@lru_cache(maxsize=16)
+def _coupling_blocks(n_max):
+    """The parity-block split of the mixed model at n_max, which does not
+    depend on nu_q, nu_r or the couplings.
 
-    H commutes with sigma_z (-1)^(a+a).  Returns the full-basis rows of each
-    block, each block's (H0, V_X, V_P) with V in rad/s per Hz of coupling,
-    and the labels as (q, n, block, row within block) in ascending bare
-    energy, the visiting order of label_dressed_states.
+    Returns the parity of each full-basis row, the rows of each block, and
+    each block's (V_X, V_P) in rad/s per Hz of coupling, checked and
+    read-only.
     """
-    H0 = build_mixed_spin_boson(MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max))
     # V_X and V_P do not depend on nu_q, nu_r: take them as exact differences
     # at a far-detuned point, where a 1 Hz coupling never warns.
     ref = [
@@ -177,15 +178,36 @@ def _mixed_blocks(nu_q, nu_r, n_max):
     dim = n_max + 1
     _check_levels(2, 3, 2, dim)
     parity = np.outer([1, -1], (-1) ** np.arange(dim)).ravel()
-    cross = parity[:, None] != parity[None, :]
-    ops = {"H0": H0, "V_X": ref[1] - ref[0], "V_P": ref[2] - ref[0]}
+    ops = {"V_X": ref[1] - ref[0], "V_P": ref[2] - ref[0]}
     for name, M in ops.items():
-        require_hermitian(M, what=f"mixed-model {name}")
-        if np.any(M[cross] != 0):
-            raise ValueError(f"mixed-model {name} couples the two parity blocks")
+        _check_parity_blocks(M, parity, name)
     rows = [np.flatnonzero(parity == s) for s in (1, -1)]
     blocks = [tuple(M[np.ix_(r, r)] for M in ops.values()) for r in rows]
+    for a in (parity, *rows, *(M for block in blocks for M in block)):
+        a.setflags(write=False)
+    return parity, rows, blocks
 
+
+def _check_parity_blocks(M, parity, name):
+    require_hermitian(M, what=f"mixed-model {name}")
+    if np.any(M[parity[:, None] != parity[None, :]] != 0):
+        raise ValueError(f"mixed-model {name} couples the two parity blocks")
+
+
+def _mixed_blocks(nu_q, nu_r, n_max):
+    """The two parity blocks of the mixed model, H = H0 + g_X V_X + g_P V_P.
+
+    H commutes with sigma_z (-1)^(a+a).  Returns the full-basis rows of each
+    block, each block's (H0, V_X, V_P) with V in rad/s per Hz of coupling,
+    and the labels as (q, n, block, row within block) in ascending bare
+    energy, the visiting order of label_dressed_states.
+    """
+    parity, rows, coupling = _coupling_blocks(n_max)
+    H0 = build_mixed_spin_boson(MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max))
+    _check_parity_blocks(H0, parity, "H0")
+    blocks = [(H0[np.ix_(r, r)], *V) for r, V in zip(rows, coupling)]
+
+    dim = n_max + 1
     qubit_energies = np.array([-0.5 * nu_q, 0.5 * nu_q]) * TWO_PI
     bare = sorted(
         (qubit_energies[q] + n * (TWO_PI * nu_r), q, n) for q in range(2) for n in range(3)

@@ -13,10 +13,10 @@ satisfies the sub-1e-4-at-400-ns readout-error anchor).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .constants import TWO_PI
 from .errors import ConvergenceError
@@ -25,6 +25,9 @@ from .sweep import grid
 
 # One-time calibration constant of the unspecified SNR normalization; frozen.
 SNR_PREFACTOR = 1.0
+
+# Elementwise standard-library erfc (object array out; cast to float64).
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -82,27 +85,36 @@ class ReadoutTrajectory:
     epsilon: float
 
 
-def rhs(alpha: complex, sigma_z: int, cfg: ReadoutConfig, epsilon: float | None = None) -> complex:
-    """Right-hand side of the amplitude equation; epsilon overrides cfg."""
-    eps = cfg.epsilon if epsilon is None else epsilon
-    ka = cfg.kappa_angular
+def _rhs_fn(cfg: ReadoutConfig, sigma_z: int, eps: float):
+    """alpha -> alpha' for one sigma_z branch, with the constants bound once."""
+    half_ka = 0.5 * cfg.kappa_angular
     ca = TWO_PI * cfg.chi
     cpa = TWO_PI * cfg.chi_prime
-    # -sqrt(kappa) alpha_in = +eps
-    return -1j * (cpa * abs(alpha) ** 2 + ca) * sigma_z * alpha - 0.5 * ka * alpha + eps
+
+    def f(alpha):
+        # -sqrt(kappa) alpha_in = +eps
+        return -1j * (cpa * abs(alpha) ** 2 + ca) * sigma_z * alpha - half_ka * alpha + eps
+
+    return f
+
+
+def rhs(alpha: complex, sigma_z: int, cfg: ReadoutConfig, epsilon: float | None = None) -> complex:
+    """Right-hand side of the amplitude equation; epsilon overrides cfg."""
+    return _rhs_fn(cfg, sigma_z, cfg.epsilon if epsilon is None else epsilon)(alpha)
 
 
 def _newton_root(cfg, sigma_z, eps, alpha0, max_iter=100):
     """Damped Newton on the complex fixed point via the Wirtinger 2x2 system."""
+    rhs_at = _rhs_fn(cfg, sigma_z, eps)
     al = alpha0
     scale = max(abs(eps), 1.0)
     for _ in range(max_iter):
-        f = rhs(al, sigma_z, cfg, epsilon=eps)
+        f = rhs_at(al)
         if abs(f) <= 1e-10 * scale:
             return al
         h = 1e-8 * max(1.0, abs(al))
-        d_re = (rhs(al + h, sigma_z, cfg, epsilon=eps) - f) / h
-        d_im = (rhs(al + 1j * h, sigma_z, cfg, epsilon=eps) - f) / (1j * h)
+        d_re = (rhs_at(al + h) - f) / h
+        d_im = (rhs_at(al + 1j * h) - f) / (1j * h)
         A = (d_re + d_im) / 2.0
         B = (d_re - d_im) / 2.0
         M = np.array(
@@ -170,7 +182,7 @@ def integrate_trajectory(cfg: ReadoutConfig) -> ReadoutTrajectory:
                 f"runaway amplitude |alpha|^2 = {abs(al)**2:.2f} > 2 n_steady"
             )
 
-    alpha0 = rk4(lambda al: rhs(al, +1, cfg, epsilon=eps), 0.0 + 0.0j, dt, steps, check)
+    alpha0 = rk4(_rhs_fn(cfg, +1, eps), 0.0 + 0.0j, dt, steps, check)
     traj = ReadoutTrajectory(
         times=times,
         alpha0=alpha0,
@@ -192,7 +204,7 @@ def snr_and_error(traj: ReadoutTrajectory, eta: float):
     integral = np.concatenate(([0.0], np.cumsum(0.5 * (d2[1:] + d2[:-1]) * dt)))
     ka = TWO_PI * traj.kappa
     snr = SNR_PREFACTOR * np.sqrt(2.0 * eta * ka * integral)
-    error = 0.5 * erfc(snr / 2.0)
+    error = 0.5 * _erfc(snr / 2.0).astype(np.float64)
     return snr, error
 
 

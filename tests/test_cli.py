@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -376,3 +380,15 @@ class TestMain:
         assert main(["run", shift_config(tmp_path, count=2)]) == 0
         out = capsys.readouterr().out
         assert "chi_Hz" in out
+
+
+def test_import_loads_no_scipy():
+    # a cold start imports numpy only: scipy would add ~0.3 s and ~20 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kerrqed, kerrqed.cli; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from kerrqed.readout import (
     integrate_trajectory,
     output_field,
     rhs,
+    snr_and_error,
     steady_state_amplitude,
 )
 
@@ -138,6 +139,44 @@ class TestTrajectory:
             0.0 + 0.0j, cfg.step, steps, lambda k, al: None,
         )
         assert np.array_equal(direct, traj.alpha1)
+
+    @pytest.mark.parametrize(
+        "kappa, chi_prime, chi",
+        [(1e6, 0.12e6, 0.0), (4.5e6, -0.05e6, 0.4e6), (8e6, 0.0, -0.3e6)],
+    )
+    def test_bound_rhs_matches_rhs(self, kappa, chi_prime, chi):
+        # the constants bound once per trajectory give the per-call rhs bitwise
+        cfg = config(kappa=kappa, chi_prime=chi_prime, chi=chi)
+        traj = integrate_trajectory(cfg)
+        steps = len(traj.times) - 1
+        direct = rk4(
+            lambda al: rhs(al, +1, cfg, epsilon=traj.epsilon),
+            0.0 + 0.0j, cfg.step, steps, lambda k, al: None,
+        )
+        assert np.array_equal(direct, traj.alpha0)
+
+    def test_error_is_stdlib_erfc(self):
+        """error = erfc(SNR/2)/2 with math.erfc, out to where it underflows.
+
+        scipy.special.erfc agrees within 1e-13 relative wherever its value
+        is a normal float.  They differ in the underflow: for SNR/2 between
+        about 26.6 and 27.2, scipy flushes to 0.0 while math.erfc returns a
+        subnormal.
+        """
+        traj = integrate_trajectory(
+            config(kappa=2e6, chi=1e6, chi_prime=0.0, n_steady=50.0, t_end=2e-6)
+        )
+        half = traj.snr / 2.0
+        assert half[0] == 0.0 and half[-1] > 27.5
+        error = snr_and_error(traj, 1.0)[1]
+        assert np.array_equal(error, [0.5 * math.erfc(x) for x in half])
+
+        special = pytest.importorskip("scipy.special")
+        ref = 0.5 * special.erfc(half)
+        normal = ref >= np.finfo(float).tiny
+        assert normal.sum() > 100
+        rel = np.abs(error[normal] - ref[normal]) / ref[normal]
+        assert np.max(rel) <= 1e-13
 
     def test_dt_convergence(self):
         cfg = config()
