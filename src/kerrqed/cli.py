@@ -58,7 +58,13 @@ def _parse_value(name, kind, raw):
     if kind == "number":
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ConfigError(f"params.{name}: expected a number, got {raw!r}")
-        return float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"params.{name}: expected a finite number, got {raw!r}")
+        return value
     if kind == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(f"params.{name}: expected an integer, got {raw!r}")

@@ -32,9 +32,9 @@ class DephasingParams:
     chi_prime: float = 0.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.n_th < 0:
+        if not self.n_th >= 0:
             raise ValueError("n_th must be >= 0")
 
 
@@ -57,9 +57,9 @@ class ZTrajectory:
 
 def thermal_occupation(nu_r: float, T: float) -> float:
     """Bose occupation 1/(exp(h nu_r / k_B T) - 1); 0 at T = 0."""
-    if nu_r <= 0:
+    if not nu_r > 0:
         raise ValueError("nu_r must be positive")
-    if T < 0:
+    if not T >= 0:
         raise ValueError("temperature must be >= 0")
     if T == 0.0:
         return 0.0

@@ -40,7 +40,7 @@ class MixedCouplingParams:
     n_max: int
 
     def __post_init__(self):
-        if self.nu_q <= 0 or self.nu_r <= 0:
+        if not (self.nu_q > 0 and self.nu_r > 0):
             raise ValueError("nu_q and nu_r must be positive")
         if self.nu_q == self.nu_r:
             raise ValueError("dispersive regime requires nu_q != nu_r")
@@ -114,7 +114,7 @@ class CptParams:
 
     def __post_init__(self):
         for name in ("E_J1", "E_J2", "E_C1", "E_C2", "E_Cr", "E_Lr"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_charge_max < 5:
             raise ValueError("n_charge_max must be >= 5")

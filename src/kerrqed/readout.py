@@ -45,16 +45,16 @@ class ReadoutConfig:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if self.n_steady <= 0:
+        if not self.n_steady > 0:
             raise ValueError("n_steady must be positive")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ValueError("t_end must be positive")
         dt = self.step
-        if dt > 1.0 / (50.0 * self.kappa_angular):
+        if not dt <= 1.0 / (50.0 * self.kappa_angular):
             raise ValueError(
                 f"dt = {dt:.3e} s violates dt <= 1/(50 kappa) = {1.0/(50.0*self.kappa_angular):.3e} s"
             )
@@ -103,67 +103,48 @@ def rhs(alpha: complex, sigma_z: int, cfg: ReadoutConfig, epsilon: float | None 
     return _rhs_fn(cfg, sigma_z, cfg.epsilon if epsilon is None else epsilon)(alpha)
 
 
-def _newton_root(cfg, sigma_z, eps, alpha0, max_iter=100):
-    """Damped Newton on the complex fixed point via the Wirtinger 2x2 system."""
-    rhs_at = _rhs_fn(cfg, sigma_z, eps)
-    al = alpha0
-    scale = max(abs(eps), 1.0)
-    for _ in range(max_iter):
-        f = rhs_at(al)
-        if abs(f) <= 1e-10 * scale:
-            return al
-        h = 1e-8 * max(1.0, abs(al))
-        d_re = (rhs_at(al + h) - f) / h
-        d_im = (rhs_at(al + 1j * h) - f) / (1j * h)
-        A = (d_re + d_im) / 2.0
-        B = (d_re - d_im) / 2.0
-        M = np.array(
-            [[A.real + B.real, -A.imag + B.imag], [A.imag + B.imag, A.real - B.real]]
-        )
-        try:
-            step = np.linalg.solve(M, [-f.real, -f.imag])
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Jacobian in steady-state solve") from None
-        al = al + step[0] + 1j * step[1]
-    raise ConvergenceError(
-        "steady-state iteration did not converge (bistable or critical drive?)"
-    )
-
-
 def steady_state_amplitude(cfg: ReadoutConfig, sigma_z: int, epsilon: float | None = None) -> complex:
-    """Steady-state amplitude continuously connected to the linear solution.
+    """Steady state on the lower branch, in closed form.
 
-    Homotopy continuation in chi' from the closed-form linear fixed point
-    selects the physical root when the Kerr term admits several.
+    Both sigma_z branches hold n = |alpha|^2 photons with
+    n [(kappa/2)^2 + (chi' n + chi)^2] = eps^2 (Drummond & Walls, J. Phys. A
+    13, 725 (1980)): one positive root outside the bistable window, three
+    inside it.  The lowest root is the one continuation from chi' = 0 reaches
+    whenever it reaches full chi'; then alpha = eps / (kappa/2 + i sigma_z
+    (chi' n + chi)).
     """
     eps = cfg.epsilon if epsilon is None else epsilon
     if eps is None:
         raise ValueError("epsilon not set; calibrate first")
     if eps == 0.0:
         return 0.0 + 0.0j
-    ka = cfg.kappa_angular
+    half_ka = 0.5 * cfg.kappa_angular
     ca = TWO_PI * cfg.chi
-    # chi' = 0 fixed point: alpha = eps / (kappa/2 + i chi sigma_z)
-    al = eps / (0.5 * ka + 1j * ca * sigma_z)
-    if cfg.chi_prime == 0.0:
-        return _newton_root(cfg, sigma_z, eps, al)
-    for frac in np.linspace(0.1, 1.0, 10):
-        step_cfg = replace(cfg, chi_prime=cfg.chi_prime * frac)
-        al = _newton_root(step_cfg, sigma_z, eps, al)
-    return al
+    cpa = TWO_PI * cfg.chi_prime
+    # The cubic in m = 1/n: eigenvalue roots are accurate relative to the
+    # largest, and the largest real m is the lowest n even when the other
+    # roots lie decades away (chi' -> 0).  Real means within the calibration
+    # tolerance, so round-off keeps a double root at a fold.
+    m = np.roots([-eps * eps, half_ka * half_ka + ca * ca, 2.0 * cpa * ca, cpa * cpa])
+    n = 1.0 / m.real[(np.abs(m.imag) <= 1e-6 * np.abs(m)) & (m.real > 0.0)].max()
+    return eps / (half_ka + 1j * sigma_z * (cpa * n + ca))
 
 
 def calibrate_drive(cfg: ReadoutConfig) -> float:
     """Drive eps > 0 with |alpha_ss(sigma_z=+1)|^2 = n_steady.
 
     At steady state eps = sqrt(n) |kappa/2 + i (chi' n + chi)| exactly; the
-    continuation root at that eps must hold n_steady photons, otherwise
-    continuation has left the branch (bistable drive).
+    lower-branch root at that eps must hold n_steady photons, otherwise
+    n_steady sits on an upper branch of a bistable drive.
     """
     n = cfg.n_steady
     eps = np.sqrt(n) * np.hypot(0.5 * cfg.kappa_angular, TWO_PI * (cfg.chi_prime * n + cfg.chi))
-    if abs(abs(steady_state_amplitude(cfg, +1, epsilon=eps)) ** 2 - n) > 1e-6 * n:
-        raise ConvergenceError("drive calibration missed the target photon number")
+    n_lower = abs(steady_state_amplitude(cfg, +1, epsilon=eps)) ** 2
+    if abs(n_lower - n) > 1e-6 * n:
+        raise ConvergenceError(
+            f"n_steady = {n:g} is not on the lower branch: at this drive the "
+            f"lower-branch steady state holds n = {n_lower:.6g}"
+        )
     return eps
 
 

@@ -8,6 +8,7 @@ SI base units (Hz, s, K).
 
 from __future__ import annotations
 
+import math
 import re
 
 FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
@@ -46,4 +47,7 @@ def parse_quantity(text, kind: str) -> float:
         raise UnitError(
             f"unknown {kind} unit {unit!r} in {text!r}; expected one of {sorted(table)}"
         )
-    return float(value) * table[unit]
+    result = float(value) * table[unit]
+    if not math.isfinite(result):
+        raise UnitError(f"{kind} quantity {text!r} is not finite")
+    return result

@@ -392,3 +392,61 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "doc, name",
+    [
+        (
+            {
+                "experiment": "shift_sweep",
+                "params": {"nu_q": "1e400 GHz", "nu_r": "8 GHz", "n_max": 6},
+                "grid": [{"name": "g_X", "start": "0 MHz", "stop": "100 MHz", "count": 3}],
+            },
+            "nu_q",
+        ),
+        (
+            {
+                "experiment": "cpt_sweep",
+                "params": {
+                    "E_J_sigma": "18 GHz", "E_C_sigma": "10 GHz", "E_Cr": "10 GHz",
+                    "E_Lr": "100 GHz", "n_g": float("nan"), "phi_ext": 3.0,
+                },
+                "grid": [{"name": "E_C_delta", "start": "0 GHz", "stop": "1 GHz", "count": 2}],
+            },
+            "n_g",
+        ),
+        (
+            {
+                "experiment": "kappa_sweep",
+                "params": {"chi_prime": "0.1 MHz", "n_steady": float("nan"), "tau": "400 ns"},
+                "grid": [{"name": "kappa", "start": "1 MHz", "stop": "3 MHz", "count": 2}],
+            },
+            "n_steady",
+        ),
+        (
+            {
+                "experiment": "kappa_sweep",
+                "params": {"chi_prime": "0.1 MHz", "n_steady": 10**400, "tau": "400 ns"},
+                "grid": [{"name": "kappa", "start": "1 MHz", "stop": "3 MHz", "count": 2}],
+            },
+            "n_steady",
+        ),
+        (
+            {
+                "experiment": "kappa_sweep",
+                "params": {"chi_prime": "0.1 MHz", "n_steady": 15, "tau": "400 ns"},
+                "grid": [{"name": "kappa", "start": "1 MHz", "stop": "1e400 MHz", "count": 2}],
+            },
+            "kappa",
+        ),
+    ],
+    ids=["quantity_overflow", "nan_number", "nan_n_steady", "int_overflow", "grid_endpoint"],
+)
+def test_non_finite_input_is_config_error(tmp_path, capsys, doc, name):
+    # json.dumps writes NaN as the JSON extension token json.load accepts
+    path = write_config(tmp_path, doc)
+    assert main(["run", path, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert not (tmp_path / "out.csv").exists()

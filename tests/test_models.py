@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kerrqed.constants import TWO_PI
+from kerrqed.dephasing import DephasingParams, thermal_occupation
 from kerrqed.errors import DegeneratePointError
 from kerrqed.models import (
     CptParams,
@@ -15,6 +16,9 @@ from kerrqed.models import (
     cpt_two_level_couplings,
 )
 from kerrqed.qspace import hermiticity_residual
+from kerrqed.readout import ReadoutConfig
+
+NAN = float("nan")
 
 
 def mixed(g_X, g_P, n_max=6, nu_q=5e9, nu_r=8e9):
@@ -194,3 +198,32 @@ class TestCptTwoLevel:
         assert default.m == pytest.approx(explicit.m)
         other = cpt_two_level_couplings(p, n_g_prime=0.0)
         assert other.m == 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ReadoutConfig(kappa=NAN, chi=0.0, chi_prime=0.1e6, eta=1.0, n_steady=15.0, t_end=4e-7),
+        lambda: ReadoutConfig(kappa=3e6, chi=0.0, chi_prime=0.1e6, eta=1.0, n_steady=NAN, t_end=4e-7),
+        lambda: ReadoutConfig(kappa=3e6, chi=0.0, chi_prime=0.1e6, eta=1.0, n_steady=15.0, t_end=NAN),
+        lambda: ReadoutConfig(
+            kappa=3e6, chi=0.0, chi_prime=0.1e6, eta=1.0, n_steady=15.0, t_end=4e-7, dt=NAN
+        ),
+        lambda: DephasingParams(kappa=NAN, n_th=0.1),
+        lambda: DephasingParams(kappa=3e6, n_th=NAN),
+        lambda: thermal_occupation(NAN, 0.05),
+        lambda: thermal_occupation(8e9, NAN),
+        lambda: MixedCouplingParams(NAN, 8e9, 0.0, 0.0, 10),
+        lambda: MixedCouplingParams(5e9, NAN, 0.0, 0.0, 10),
+        lambda: cpt(E_J1=NAN),
+        lambda: cpt(E_Lr=NAN),
+    ],
+    ids=[
+        "readout_kappa", "readout_n_steady", "readout_t_end", "readout_dt",
+        "dephasing_kappa", "dephasing_n_th", "thermal_nu_r", "thermal_T",
+        "mixed_nu_q", "mixed_nu_r", "cpt_E_J1", "cpt_E_Lr",
+    ],
+)
+def test_nan_parameters_rejected(build):
+    with pytest.raises(ValueError):
+        build()

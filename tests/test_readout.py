@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from kerrqed.errors import ConvergenceError
 from kerrqed.ode import rk4
@@ -96,6 +99,108 @@ class TestCalibration:
         n_up = abs(steady_state_amplitude(cfg, +1, epsilon=eps)) ** 2
         n_dn = abs(steady_state_amplitude(cfg, -1, epsilon=eps)) ** 2
         assert abs(n_up - n_dn) / n_up < 1e-10
+
+
+# PR-2 bistable set: kappa x chi' x chi x n_steady, all in MHz but n.  At the
+# exact fold (3, 0.1, -3, 15) the cubic's roots are 15, 15, 30.
+BISTABLE_SET = list(itertools.product(
+    (1.0, 3.0), (0.02, 0.05, 0.1, -0.05), (-6.0, -3.0, -1.0, -0.5, 1.0, 3.0), (15.0, 40.0)
+))
+UPPER_BRANCH = {
+    (1.0, 0.02, -1.0, 40.0), (1.0, 0.05, -3.0, 40.0), (1.0, 0.05, -1.0, 15.0),
+    (1.0, 0.1, -6.0, 40.0), (1.0, 0.1, -3.0, 15.0), (1.0, -0.05, 1.0, 15.0),
+    (1.0, -0.05, 3.0, 40.0), (3.0, 0.05, -3.0, 40.0), (3.0, 0.1, -6.0, 40.0),
+    (3.0, -0.05, 3.0, 40.0),
+}
+
+
+def photon_cubic(cfg, n):
+    """n [(kappa/2)^2 + (chi' n + chi)^2] in angular units."""
+    u = 2 * math.pi * (cfg.chi_prime * n + cfg.chi)
+    return n * ((0.5 * cfg.kappa_angular) ** 2 + u * u)
+
+
+class TestLowerBranch:
+    """The steady state is the lowest root of the photon-number cubic."""
+
+    @seed(20261020)
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(
+        kappa=st.floats(0.5e6, 10e6),
+        chi_frac=st.floats(-1.0, 1.0),
+        chi_prime=st.floats(-0.3e6, 0.3e6),
+        n_steady=st.floats(1.0, 50.0),
+    )
+    # the other two roots of the cubic in n sit near +-1e103 i: a companion
+    # matrix of that cubic loses the real root, one of the cubic in 1/n keeps it
+    @example(kappa=0.5e6, chi_frac=0.0, chi_prime=5.5e-99, n_steady=1.0)
+    def test_rk4_lands_on_steady_state(self, kappa, chi_frac, chi_prime, n_steady):
+        # |chi| <= 0.8 (sqrt(3)/2) kappa: the cubic is monotone for every
+        # chi' and drive, and the slowest linearized decay rate is at least
+        # (kappa/2)(1 - 0.8) = kappa/10 (reached where chi' n = -2 chi/3).
+        # 200/kappa leaves e^-20; 100/kappa reached 1.5e-5 relative there.
+        # RK4 keeps the exact fixed point, so only the transient decays.
+        chi = chi_frac * 0.8 * (math.sqrt(3) / 2) * kappa
+        cfg = config(kappa=kappa, chi=chi, chi_prime=chi_prime, n_steady=n_steady)
+        eps = calibrate_drive(cfg)
+        steps = int(round(200.0 / (cfg.kappa_angular * cfg.step)))
+        end = rk4(
+            lambda al: rhs(al, +1, cfg, epsilon=eps), 0.0 + 0.0j, cfg.step, steps, lambda k, al: None
+        )[-1]
+        ss = steady_state_amplitude(cfg, +1, epsilon=eps)
+        assert abs(end - ss) <= 1e-8 * abs(ss)
+
+    @seed(20261021)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        kappa=st.floats(0.5e6, 10e6),
+        chi_over_kappa=st.floats(0.9, 8.0),
+        chi_sign=st.sampled_from([1.0, -1.0]),
+        chi_prime=st.floats(0.005e6, 0.3e6),
+        drive_frac=st.floats(0.01, 0.99),
+    )
+    def test_three_roots_returns_lowest(self, kappa, chi_over_kappa, chi_sign, chi_prime, drive_frac):
+        # chi chi' < 0 and |chi| > (sqrt(3)/2) kappa put both critical points
+        # n_lo < n_hi of the cubic at n > 0; a drive strictly between their
+        # values gives three real roots, and the lowest is the only root in
+        # (0, n_lo), where the cubic rises monotonically.
+        chi = chi_sign * chi_over_kappa * kappa
+        cfg = config(kappa=kappa, chi=chi, chi_prime=-chi_sign * chi_prime)
+        ha, ca, cpa = 0.5 * cfg.kappa_angular, 2 * math.pi * cfg.chi, 2 * math.pi * cfg.chi_prime
+        # d/dn of the cubic: 3 cpa^2 n^2 + 4 cpa ca n + ha^2 + ca^2
+        root = math.sqrt(4 * ca * ca - 3 * (ha * ha + ca * ca))
+        n_lo, n_hi = sorted((-2 * ca + s * root) / (3 * cpa) for s in (1.0, -1.0))
+        assert 0.0 < n_lo < n_hi
+        g_lo, g_hi = photon_cubic(cfg, n_lo), photon_cubic(cfg, n_hi)
+        eps = math.sqrt(g_hi + drive_frac * (g_lo - g_hi))
+        for sz in (+1, -1):
+            al = steady_state_amplitude(cfg, sz, epsilon=eps)
+            n = abs(al) ** 2
+            assert n < n_lo
+            assert abs(photon_cubic(cfg, n) - eps * eps) <= 1e-9 * eps * eps
+            assert abs(rhs(al, sz, cfg, epsilon=eps)) <= 1e-9 * eps
+        assert steady_state_amplitude(cfg, -1, epsilon=eps) == steady_state_amplitude(
+            cfg, +1, epsilon=eps
+        ).conjugate()
+
+    def test_exact_fold_calibrates_to_double_root(self):
+        # roots 15, 15, 30: the double root at the fold is the lower branch
+        cfg = config(kappa=3e6, chi=-3e6, chi_prime=0.1e6, n_steady=15.0)
+        eps = calibrate_drive(cfg)
+        n = abs(steady_state_amplitude(cfg, +1, epsilon=eps)) ** 2
+        assert abs(n - 15.0) <= 1e-6 * 15.0
+        assert photon_cubic(cfg, 30.0) == pytest.approx(eps * eps, rel=1e-12)
+
+    def test_bistable_set_split(self):
+        raised = set()
+        for kappa, chi_prime, chi, n in BISTABLE_SET:
+            cfg = config(kappa=kappa * 1e6, chi=chi * 1e6, chi_prime=chi_prime * 1e6, n_steady=n)
+            try:
+                calibrate_drive(cfg)
+            except ConvergenceError as exc:
+                assert "not on the lower branch" in str(exc)
+                raised.add((kappa, chi_prime, chi, n))
+        assert raised == UPPER_BRANCH
 
 
 class TestTrajectory:
