@@ -36,6 +36,9 @@ class DephasingParams:
             raise ValueError("kappa must be positive")
         if not self.n_th >= 0:
             raise ValueError("n_th must be >= 0")
+        for name in ("chi", "chi_prime"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

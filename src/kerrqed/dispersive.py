@@ -80,6 +80,33 @@ def _check_levels(q_levels, n_levels, dq, db):
         )
 
 
+def _visiting_order(q_levels, n_levels, qubit_energies, boson_freq):
+    """Bare labels (q, n) in ascending bare energy qubit_energies[q] + n boson_freq."""
+    bare = sorted(
+        (qubit_energies[q] + n * boson_freq, q, n) for q in range(q_levels) for n in range(n_levels)
+    )
+    return [(q, n) for _, q, n in bare]
+
+
+def _greedy(overlaps, floor):
+    """The greedy assignment behind every dressed label.
+
+    overlaps[p, j, k] is the overlap of bare state j (in visiting order) with
+    eigenvector k at point p.  Each bare state in turn takes its unused
+    eigenvector of largest overlap; the eigenvector is used up only when
+    that overlap reaches floor.  Returns (eigenindex, overlap, labeled),
+    arrays [p, j].
+    """
+    points = np.arange(len(overlaps))
+    used = np.zeros_like(overlaps[:, 0], dtype=bool)
+    index = np.empty(overlaps.shape[:2], dtype=np.intp)
+    for j in range(overlaps.shape[1]):
+        k = index[:, j] = np.argmax(np.where(used, -1.0, overlaps[:, j]), axis=1)
+        used[points, k] = overlaps[points, j, k] >= floor
+    best = np.take_along_axis(overlaps, index[:, :, None], axis=2)[:, :, 0]
+    return index, best, best >= floor
+
+
 def label_dressed_states(
     es: EigenSystem,
     space: HilbertSpace,
@@ -109,33 +136,20 @@ def label_dressed_states(
             raise ValueError("qubit_vectors required for non-spin qubit factors")
         qubit_vectors = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    order = sorted(
-        ((qubit_energies[q] + n * boson_freq, q, n) for q in range(q_levels) for n in range(n_levels))
-    )
-    labels = {}
-    unassigned = []
-    used = set()
-    V = es.vectors
-    fock = np.eye(db)
-    for _, q, n in order:
-        bare = np.kron(qubit_vectors[:, q], fock[n])
-        overlaps = np.abs(bare.conj() @ V) ** 2
-        best = None
-        for k in np.argsort(-overlaps):
-            if k not in used:
-                best = int(k)
-                break
-        if best is None:
-            raise LabelingError("ran out of eigenstates during labeling")
-        if overlaps[best] < overlap_floor:
-            if best not in unassigned:
-                unassigned.append(best)
-            continue
-        used.add(best)
-        labels[(q, n)] = (float(es.energies[best]), float(overlaps[best]), best)
-    return DressedSpectrum(
-        labels=labels, unassigned=tuple(unassigned), eigensystem=es, space=space
-    )
+    order = _visiting_order(q_levels, n_levels, qubit_energies, boson_freq)
+    # row j of bare is |q, n>, indexed (qubit, Fock) as the product basis
+    bare = np.zeros((len(order), dq, db), dtype=qubit_vectors.dtype)
+    for j, (q, n) in enumerate(order):
+        bare[j, :, n] = qubit_vectors[:, q]
+    overlaps = np.abs(bare.reshape(len(order), dq * db).conj() @ es.vectors) ** 2
+    index, best, labeled = (a[0] for a in _greedy(overlaps[None], overlap_floor))
+    labels = {
+        label: (float(es.energies[k]), float(overlap), int(k))
+        for label, k, overlap, ok in zip(order, index, best, labeled)
+        if ok
+    }
+    unassigned = tuple(dict.fromkeys(int(k) for k in index[~labeled]))
+    return DressedSpectrum(labels=labels, unassigned=unassigned, eigensystem=es, space=space)
 
 
 def _shift_values(E):
@@ -198,52 +212,22 @@ def _mixed_blocks(nu_q, nu_r, n_max):
     """The two parity blocks of the mixed model, H = H0 + g_X V_X + g_P V_P.
 
     H commutes with sigma_z (-1)^(a+a).  Returns the full-basis rows of each
-    block, each block's (H0, V_X, V_P) with V in rad/s per Hz of coupling,
-    and the labels as (q, n, block, row within block) in ascending bare
-    energy, the visiting order of label_dressed_states.
+    block and each block's (H0, V_X, V_P, bare), with V in rad/s per Hz of
+    coupling and bare the block's ((q, n), row within block) in visiting
+    order.
     """
     parity, rows, coupling = _coupling_blocks(n_max)
     H0 = build_mixed_spin_boson(MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max))
     _check_parity_blocks(H0, parity, "H0")
-    blocks = [(H0[np.ix_(r, r)], *V) for r, V in zip(rows, coupling)]
-
     dim = n_max + 1
+    bare = ([], [])
     qubit_energies = np.array([-0.5 * nu_q, 0.5 * nu_q]) * TWO_PI
-    bare = sorted(
-        (qubit_energies[q] + n * (TWO_PI * nu_r), q, n) for q in range(2) for n in range(3)
-    )
-    order = []
-    for _, q, n in bare:
+    for q, n in _visiting_order(2, 3, qubit_energies, TWO_PI * nu_r):
         i = (1 - q) * dim + n  # |q=0> is sigma_z = -1, basis index 1
         b = 0 if parity[i] == 1 else 1
-        order.append((q, n, b, int(np.searchsorted(rows[b], i))))
-    return rows, blocks, order
-
-
-def _solve(blocks, order, g_X, g_P):
-    """Stacked eigh of each parity block over the points (g_X, g_P arrays),
-    then the greedy labeling of label_dressed_states on every point at once.
-
-    Returns [(energies, vectors)] per block, stacked over the points, and
-    {(q, n): (block, eigenindex, overlap, labeled)} with arrays over the
-    points, in visiting order.  Within its block a bare state is a unit
-    vector, so its overlaps are a row of the eigenvector matrix squared.
-    """
-    eig = [
-        np.linalg.eigh(H0 + g_X[:, None, None] * V_X + g_P[:, None, None] * V_P)
-        for H0, V_X, V_P in blocks
-    ]
-    points = np.arange(len(g_X))
-    used = [np.zeros(w.shape, dtype=bool) for w, _ in eig]
-    labels = {}
-    for q, n, b, row in order:
-        candidates = np.where(used[b], -1.0, np.abs(eig[b][1][:, row, :]) ** 2)
-        k = np.argmax(candidates, axis=1)
-        overlap = candidates[points, k]
-        ok = overlap >= DEFAULT_OVERLAP_FLOOR
-        used[b][points[ok], k[ok]] = True
-        labels[(q, n)] = (b, k, overlap, ok)
-    return eig, labels
+        bare[b].append(((q, n), int(np.searchsorted(rows[b], i))))
+    blocks = [(H0[np.ix_(r, r)], *V, labels) for r, V, labels in zip(rows, coupling, bare)]
+    return rows, blocks
 
 
 def mixed_shift_batch(nu_q, nu_r, n_max, g_X, g_P):
@@ -253,55 +237,54 @@ def mixed_shift_batch(nu_q, nu_r, n_max, g_X, g_P):
     Returns (chi, chi_prime, errors): arrays over the points, NaN where the
     point's labeling failed, and per point None or its LabelingError.
     Warns once per point whose couplings exceed 10% of the detuning.
+    Each parity block is labeled on its own: within a block a bare state is
+    a unit vector, so its overlaps are a row of the eigenvector matrix squared.
     """
-    _, blocks, order = _mixed_blocks(nu_q, nu_r, n_max)
+    _, blocks = _mixed_blocks(nu_q, nu_r, n_max)
     g_X, g_P = np.broadcast_arrays(np.asarray(g_X, float), np.asarray(g_P, float))
     g_X, g_P = g_X.ravel(), g_P.ravel()
+    for name, g in (("g_X", g_X), ("g_P", g_P)):
+        if not np.isfinite(g).all():
+            raise ValueError(f"{name} must be finite")
     for _ in range(np.count_nonzero(strong_coupling(nu_q, nu_r, g_X, g_P))):
         warnings.warn(STRONG_COUPLING_WARNING, stacklevel=2)
     chi, chi_prime = np.empty(g_X.size), np.empty(g_X.size)
     errors = [None] * g_X.size
     for start in range(0, g_X.size, BATCH_CHUNK):
         part = slice(start, start + BATCH_CHUNK)
-        eig, labels = _solve(blocks, order, g_X[part], g_P[part])
-        labeled = np.logical_and.reduce([labels[label][3] for label in SHIFT_LABELS])
-        E = {
-            label: np.where(labeled, eig[b][0][np.arange(k.size), k], np.nan)
-            for label, (b, k, _, _) in labels.items()
-        }
-        chi[part], chi_prime[part] = _shift_values(E)[:2]
+        gx, gp = g_X[part, None, None], g_P[part, None, None]
+        E, found = {}, {}
+        for H0, V_X, V_P, bare in blocks:
+            w, v = np.linalg.eigh(H0 + gx * V_X + gp * V_P)
+            labels, rows = zip(*bare)
+            k, _, labeled = _greedy(np.abs(v[:, list(rows), :]) ** 2, DEFAULT_OVERLAP_FLOOR)
+            E.update(zip(labels, np.take_along_axis(w, k, axis=1).T))
+            found.update(zip(labels, labeled.T))
+        ok = np.logical_and.reduce([found[label] for label in SHIFT_LABELS])
+        chi[part], chi_prime[part] = _shift_values(
+            {label: np.where(ok, e, np.nan) for label, e in E.items()}
+        )[:2]
         for q, n in reversed(SHIFT_LABELS):
-            for i in np.flatnonzero(~labels[(q, n)][3]):
+            for i in np.flatnonzero(~found[(q, n)]):
                 errors[start + i] = LabelingError(f"no dressed label for (q={q}, n={n})")
     return chi, chi_prime, errors
 
 
 def mixed_model_spectrum(p: MixedCouplingParams) -> DressedSpectrum:
-    """Label (q, n) for q < 2, n < 3 of the minimal mixed model, solved as a
-    batch of one; the blocks' eigenvectors are scattered back into the full
-    basis, with energies ascending."""
-    rows, blocks, order = _mixed_blocks(p.nu_q, p.nu_r, p.n_max)
-    eig, labels = _solve(blocks, order, np.array([p.g_X], float), np.array([p.g_P], float))
+    """Label (q, n) for q < 2, n < 3 of the minimal mixed model: the parity
+    blocks are solved as in mixed_shift_batch, their eigenvectors scattered
+    back into the full basis with energies ascending, and labeled there."""
+    rows, blocks = _mixed_blocks(p.nu_q, p.nu_r, p.n_max)
+    eig = [np.linalg.eigh(H0 + p.g_X * V_X + p.g_P * V_P) for H0, V_X, V_P, _ in blocks]
     dim = p.n_max + 1
-    energies = np.concatenate([w[0] for w, _ in eig])
+    energies = np.concatenate([w for w, _ in eig])
     vectors = np.zeros((2 * dim, 2 * dim), dtype=eig[0][1].dtype)
     for b, (r, (_, v)) in enumerate(zip(rows, eig)):
-        vectors[r, b * dim : (b + 1) * dim] = v[0]
+        vectors[r, b * dim : (b + 1) * dim] = v
     ascending = np.argsort(energies, kind="stable")
-    position = np.argsort(ascending)
-    out, unassigned = {}, []
-    for label, (b, k, overlap, ok) in labels.items():
-        j = b * dim + int(k[0])
-        if ok[0]:
-            out[label] = (float(energies[j]), float(overlap[0]), int(position[j]))
-        elif position[j] not in unassigned:
-            unassigned.append(int(position[j]))
-    return DressedSpectrum(
-        labels=out,
-        unassigned=tuple(unassigned),
-        eigensystem=EigenSystem(energies[ascending], vectors[:, ascending]),
-        space=p.space(),
-    )
+    es = EigenSystem(energies[ascending], vectors[:, ascending])
+    qubit_energies = np.array([-0.5 * p.nu_q, 0.5 * p.nu_q]) * TWO_PI
+    return label_dressed_states(es, p.space(), 2, 3, qubit_energies, TWO_PI * p.nu_r)
 
 
 def mixed_model_shifts(p: MixedCouplingParams) -> ShiftReport:

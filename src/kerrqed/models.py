@@ -7,6 +7,7 @@ angular frequencies omega = 2 pi nu (rad/s).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ class MixedCouplingParams:
             raise ValueError("dispersive regime requires nu_q != nu_r")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        for name in ("g_X", "g_P"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if strong_coupling(self.nu_q, self.nu_r, self.g_X, self.g_P):
             warnings.warn(STRONG_COUPLING_WARNING, stacklevel=2)
 

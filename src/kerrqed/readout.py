@@ -47,6 +47,9 @@ class ReadoutConfig:
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        for name in ("chi", "chi_prime") + (() if self.epsilon is None else ("epsilon",)):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
         if not self.n_steady > 0:

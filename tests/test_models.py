@@ -5,6 +5,7 @@ import pytest
 
 from kerrqed.constants import TWO_PI
 from kerrqed.dephasing import DephasingParams, thermal_occupation
+from kerrqed.dispersive import mixed_shift_batch
 from kerrqed.errors import DegeneratePointError
 from kerrqed.models import (
     CptParams,
@@ -226,4 +227,32 @@ class TestCptTwoLevel:
 )
 def test_nan_parameters_rejected(build):
     with pytest.raises(ValueError):
+        build()
+
+
+INF = float("inf")
+READOUT = dict(kappa=3e6, chi=0.0, chi_prime=0.1e6, eta=1.0, n_steady=15.0, t_end=4e-7)
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("chi", lambda: ReadoutConfig(**{**READOUT, "chi": NAN})),
+        ("chi_prime", lambda: ReadoutConfig(**{**READOUT, "chi_prime": INF})),
+        ("epsilon", lambda: ReadoutConfig(**READOUT, epsilon=NAN)),
+        ("chi", lambda: DephasingParams(kappa=3e6, n_th=0.01, chi=NAN)),
+        ("chi_prime", lambda: DephasingParams(kappa=3e6, n_th=0.01, chi_prime=-INF)),
+        ("g_X", lambda: MixedCouplingParams(5e9, 8e9, NAN, 0.0, 10)),
+        ("g_P", lambda: MixedCouplingParams(5e9, 8e9, 0.0, INF, 10)),
+        ("g_X", lambda: mixed_shift_batch(5e9, 8e9, 10, [1e6, NAN], 1e6)),
+        ("g_P", lambda: mixed_shift_batch(5e9, 8e9, 10, 1e6, [1e6, -INF])),
+    ],
+    ids=[
+        "readout_chi", "readout_chi_prime", "readout_epsilon", "dephasing_chi",
+        "dephasing_chi_prime", "mixed_g_X", "mixed_g_P", "batch_g_X", "batch_g_P",
+    ],
+)
+def test_non_finite_signed_parameters_rejected(name, build):
+    # these may be zero or negative, so a positivity check does not catch NaN
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         build()
