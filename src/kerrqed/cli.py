@@ -36,10 +36,10 @@ import numpy as np
 
 from . import __version__
 from .dephasing import DephasingParams, gamma_closed_form, thermal_occupation
-from .dispersive import cpt_shifts, mixed_shift_batch
+from .dispersive import cpt_shift_batch, mixed_shift_batch
 from .diagnostics import overlap_scan as _overlap_scan
 from .errors import KerrqedError
-from .models import CptParams, MixedCouplingParams, build_mixed_spin_boson
+from .models import MixedCouplingParams, build_mixed_spin_boson
 from .readout import ReadoutConfig, integrate_trajectory, read_at
 from .sweep import batch, grid
 from .units import UnitError, parse_quantity
@@ -140,30 +140,21 @@ def parse_grid(experiment, raw_grid):
     return axes
 
 
-@batch
-def _batch_shift_sweep(p):
-    chi, chi_prime, errors = mixed_shift_batch(p["nu_q"], p["nu_r"], p["n_max"], p["g_X"], p["g_P"])
+def _shift_rows(chi, chi_prime, errors):
     return [
         {"chi_Hz": float(c), "chi_prime_Hz": float(cp)} if exc is None else exc
         for c, cp, exc in zip(chi, chi_prime, errors)
     ]
 
 
-def _point_cpt_sweep(p):
-    cpt = CptParams(
-        E_J1=0.5 * (p["E_J_sigma"] + p["E_J_delta"]),
-        E_J2=0.5 * (p["E_J_sigma"] - p["E_J_delta"]),
-        E_C1=0.5 * (p["E_C_sigma"] + p["E_C_delta"]),
-        E_C2=0.5 * (p["E_C_sigma"] - p["E_C_delta"]),
-        E_Cr=p["E_Cr"],
-        E_Lr=p["E_Lr"],
-        n_g=p["n_g"],
-        phi_ext=p["phi_ext"],
-        n_charge_max=p["n_charge_max"],
-        n_fock=p["n_fock"],
-    )
-    rep = cpt_shifts(cpt)
-    return {"chi_Hz": rep.chi, "chi_prime_Hz": rep.chi_prime}
+@batch
+def _batch_shift_sweep(p):
+    return _shift_rows(*mixed_shift_batch(p["nu_q"], p["nu_r"], p["n_max"], p["g_X"], p["g_P"]))
+
+
+@batch
+def _batch_cpt_sweep(p):
+    return _shift_rows(*cpt_shift_batch(p, p["E_J_delta"], p["E_C_delta"]))
 
 
 def _point_dephasing_curve(p):
@@ -254,7 +245,7 @@ EXPERIMENTS = {
             "E_C_delta": ("frequency", False, 0.0),
         },
         ("E_J_delta", "E_C_delta"),
-        _point_cpt_sweep,
+        _batch_cpt_sweep,
         ("chi_Hz", "chi_prime_Hz"),
     ),
     "dephasing_curve": Experiment(
@@ -460,8 +451,8 @@ def build_parser():
         "--jobs",
         type=int,
         default=1,
-        help="worker thread pool size for per-point experiments (default 1); "
-        "shift_sweep runs as one batched solve",
+        help="worker thread pool size for the per-point experiments kappa_sweep and "
+        "dephasing_curve (default 1); shift_sweep and cpt_sweep run as batched solves",
     )
     p_run.add_argument(
         "--keep-going", action="store_true", help="record per-point failures instead of exiting 2"

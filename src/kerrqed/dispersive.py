@@ -20,20 +20,24 @@ from .models import (
     STRONG_COUPLING_WARNING,
     CptParams,
     MixedCouplingParams,
-    build_cpt_hamiltonian,
     build_mixed_spin_boson,
-    cpt_island_hamiltonian,
+    cpt_operators,
     strong_coupling,
 )
-from .qspace import Boson, EigenSystem, HilbertSpace, eigendecompose, require_hermitian
+from .qspace import Boson, EigenSystem, HilbertSpace, annihilation, eigendecompose, require_hermitian
 
 DEFAULT_OVERLAP_FLOOR = 0.5
 # Points per stacked solve in mixed_shift_batch; bounds the stack's memory on
 # large grids.  On a 31x31 grid one unchunked stack was no faster and raised
 # peak RSS by ~3%.
 BATCH_CHUNK = 256
+# Points per stacked island solve and labeling call in cpt_shift_batch; each
+# point's 117-dimensional eigh runs on its own.
+CPT_CHUNK = 32
 # The labels the shift extraction reads, in the order a missing one is reported.
 SHIFT_LABELS = tuple((q, n) for q in (0, 1) for n in (0, 1, 2))
+# A CPT point labels the bare states (q, n) with q, n < CPT_LEVELS.
+CPT_LEVELS = 3
 
 
 @dataclass(frozen=True)
@@ -217,17 +221,35 @@ def _mixed_blocks(nu_q, nu_r, n_max):
     order.
     """
     parity, rows, coupling = _coupling_blocks(n_max)
-    H0 = build_mixed_spin_boson(MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max))
-    _check_parity_blocks(H0, parity, "H0")
+    MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max)  # rejects nu_q = nu_r and the like
+    # H0 is diagonal: its entries as build_mixed_spin_boson forms them, bitwise
+    # (np.arange(dim) would not be, as sqrt(n)**2 != n)
     dim = n_max + 1
+    a = annihilation(n_max)
+    wq, wr = TWO_PI * nu_q, TWO_PI * nu_r
+    H0 = 0.5 * wq * np.repeat([1.0, -1.0], dim) + wr * np.tile(np.diag(a.T @ a), 2)
     bare = ([], [])
     qubit_energies = np.array([-0.5 * nu_q, 0.5 * nu_q]) * TWO_PI
     for q, n in _visiting_order(2, 3, qubit_energies, TWO_PI * nu_r):
         i = (1 - q) * dim + n  # |q=0> is sigma_z = -1, basis index 1
         b = 0 if parity[i] == 1 else 1
         bare[b].append(((q, n), int(np.searchsorted(rows[b], i))))
-    blocks = [(H0[np.ix_(r, r)], *V, labels) for r, V, labels in zip(rows, coupling, bare)]
+    blocks = [(np.diag(H0[r]), *V, labels) for r, V, labels in zip(rows, coupling, bare)]
     return rows, blocks
+
+
+def _store_shifts(E, found, points, chi, chi_prime, errors):
+    """Store the shifts of labeled energies E[label] and the labels' found
+    flags (arrays over points) at the indices points of chi, chi_prime and
+    errors; a point missing a label gets NaN and the LabelingError of its
+    first missing label, as extract_shifts raises it."""
+    ok = np.logical_and.reduce([found[label] for label in SHIFT_LABELS])
+    chi[points], chi_prime[points] = _shift_values(
+        {label: np.where(ok, E[label], np.nan) for label in SHIFT_LABELS}
+    )[:2]
+    for q, n in reversed(SHIFT_LABELS):
+        for i in np.flatnonzero(~found[(q, n)]):
+            errors[points[i]] = LabelingError(f"no dressed label for (q={q}, n={n})")
 
 
 def mixed_shift_batch(nu_q, nu_r, n_max, g_X, g_P):
@@ -260,13 +282,7 @@ def mixed_shift_batch(nu_q, nu_r, n_max, g_X, g_P):
             k, _, labeled = _greedy(np.abs(v[:, list(rows), :]) ** 2, DEFAULT_OVERLAP_FLOOR)
             E.update(zip(labels, np.take_along_axis(w, k, axis=1).T))
             found.update(zip(labels, labeled.T))
-        ok = np.logical_and.reduce([found[label] for label in SHIFT_LABELS])
-        chi[part], chi_prime[part] = _shift_values(
-            {label: np.where(ok, e, np.nan) for label, e in E.items()}
-        )[:2]
-        for q, n in reversed(SHIFT_LABELS):
-            for i in np.flatnonzero(~found[(q, n)]):
-                errors[start + i] = LabelingError(f"no dressed label for (q={q}, n={n})")
+        _store_shifts(E, found, np.arange(g_X.size)[part], chi, chi_prime, errors)
     return chi, chi_prime, errors
 
 
@@ -316,13 +332,14 @@ def mixed_shift_grid(nu_q, nu_r, g_X_values, g_P_values, n_max):
 def cpt_spectrum(p: CptParams) -> DressedSpectrum:
     """Diagonalize the full CPT model and label (q, n) for q < 3, n < 3;
     the bare qubit basis is the island eigenstates."""
-    es = eigendecompose(build_cpt_hamiltonian(p))
-    ei, vi = np.linalg.eigh(cpt_island_hamiltonian(p))
+    ops = cpt_operators(p)
+    es = eigendecompose(ops.hamiltonian(p.E_J_delta, p.E_C_delta))
+    ei, vi = np.linalg.eigh(ops.island(p.E_J_delta))
     return label_dressed_states(
         es,
         p.space(),
-        q_levels=3,
-        n_levels=3,
+        q_levels=CPT_LEVELS,
+        n_levels=CPT_LEVELS,
         qubit_energies=ei,
         boson_freq=TWO_PI * p.nu_r_bare,
         qubit_vectors=vi,
@@ -331,6 +348,84 @@ def cpt_spectrum(p: CptParams) -> DressedSpectrum:
 
 def cpt_shifts(p: CptParams) -> ShiftReport:
     return extract_shifts(cpt_spectrum(p))
+
+
+def _cpt_params(base, E_J_delta, E_C_delta):
+    """The CptParams of one cpt_shift_batch point."""
+    S, C = base["E_J_sigma"], base["E_C_sigma"]
+    return CptParams(
+        E_J1=0.5 * (S + E_J_delta),
+        E_J2=0.5 * (S - E_J_delta),
+        E_C1=0.5 * (C + E_C_delta),
+        E_C2=0.5 * (C - E_C_delta),
+        E_Cr=base["E_Cr"],
+        E_Lr=base["E_Lr"],
+        n_g=base["n_g"],
+        phi_ext=base["phi_ext"],
+        n_charge_max=base["n_charge_max"],
+        n_fock=base["n_fock"],
+    )
+
+
+def cpt_shift_batch(base, E_J_delta, E_C_delta):
+    """chi and chi' (Hz) of the CPT at each (E_J_delta, E_C_delta) point.
+
+    base maps E_J_sigma, E_C_sigma, E_Cr, E_Lr (Hz), n_g, phi_ext,
+    n_charge_max and n_fock to their values; other keys are ignored.
+    E_J_delta and E_C_delta broadcast against each other and are read
+    flattened.  Returns (chi, chi_prime, errors) as mixed_shift_batch does,
+    with the ValueError of CptParams for an invalid point.  Each point is
+    labeled as cpt_spectrum labels it; every H comes from one operator split,
+    built at the first valid point (the split reads no asymmetry).
+    """
+    E_J_delta, E_C_delta = np.broadcast_arrays(
+        np.asarray(E_J_delta, float), np.asarray(E_C_delta, float)
+    )
+    E_J_delta, E_C_delta = E_J_delta.ravel().tolist(), E_C_delta.ravel().tolist()
+    size = len(E_J_delta)
+    chi, chi_prime = np.full(size, np.nan), np.full(size, np.nan)
+    errors = [None] * size
+    ops = None
+    for start in range(0, size, CPT_CHUNK):
+        points, params = [], []
+        for i in range(start, min(start + CPT_CHUNK, size)):
+            try:
+                params.append(_cpt_params(base, E_J_delta[i], E_C_delta[i]))
+                points.append(i)
+            except ValueError as exc:
+                errors[i] = exc
+        if not params:
+            continue
+        if ops is None:
+            ops = cpt_operators(params[0])
+        H = np.empty_like(ops.H0)
+        L, dim = CPT_LEVELS, H.shape[0]
+        dq, db = params[0].space().factor_dims()
+        # rows |charge, n < L> of an eigenvector, charge-major
+        rows = (np.arange(dq)[:, None] * db + np.arange(L)).ravel()
+        boson_n = TWO_PI * params[0].nu_r_bare * np.arange(L)
+        ejd = np.array([p.E_J_delta for p in params])
+        ei, vi = np.linalg.eigh(ops.island(ejd[:, None, None]))
+        bare = vi[:, :, :L].conj().transpose(0, 2, 1)
+        energies = np.empty((len(params), dim))
+        overlaps = np.empty((len(params), L * L, dim))
+        for c, p in enumerate(params):
+            energies[c], v = np.linalg.eigh(ops.hamiltonian(p.E_J_delta, p.E_C_delta, out=H))
+            overlaps[c] = (np.abs(bare[c] @ v[rows].reshape(dq, -1)) ** 2).reshape(L * L, dim)
+        # each point visits its bare states (q, n) in ascending bare energy,
+        # ties in (q, n) order as _visiting_order breaks them
+        order = np.argsort((ei[:, :L, None] + boson_n).reshape(-1, L * L), axis=1, kind="stable")
+        k, _, labeled = _greedy(
+            np.take_along_axis(overlaps, order[:, :, None], axis=1), DEFAULT_OVERLAP_FLOOR
+        )
+        # back to (q, n) order: column j of the visit is bare state order[:, j]
+        place = np.argsort(order, axis=1)
+        k, labeled = (np.take_along_axis(a, place, axis=1) for a in (k, labeled))
+        e = np.take_along_axis(energies, k, axis=1)
+        E = {(q, n): e[:, L * q + n] for q, n in SHIFT_LABELS}
+        found = {(q, n): labeled[:, L * q + n] for q, n in SHIFT_LABELS}
+        _store_shifts(E, found, np.array(points), chi, chi_prime, errors)
+    return chi, chi_prime, errors
 
 
 def chi_analytic(p: MixedCouplingParams) -> float:

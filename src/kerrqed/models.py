@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import TWO_PI
 from .errors import DegeneratePointError
-from .qspace import Boson, Charge, HilbertSpace, SpinHalf, annihilation, pauli
+from .qspace import Boson, Charge, HilbertSpace, SpinHalf, annihilation, pauli, require_hermitian
 
 
 STRONG_COUPLING_WARNING = (
@@ -187,45 +188,90 @@ def _resonator_operators(p: CptParams):
     return delta, n_delta, cos_half, sin_half
 
 
-def build_cpt_hamiltonian(p: CptParams) -> np.ndarray:
-    """Full CPT Hamiltonian on Charge(island) x Boson(resonator), rad/s.
+class CptOperators(NamedTuple):
+    """The CPT Hamiltonians split by their dependence on the asymmetries, rad/s.
 
-    Complex Hermitian: the E_J_delta and E_C_delta terms are imaginary.
+    The full Hamiltonian is H0 + E_J_delta V_J + E_C_delta V_C and the bare
+    island one I0 + E_J_delta I_J, with V_J, V_C and I_J per Hz of asymmetry.
+    Every piece is Hermitian.
+    """
+
+    H0: np.ndarray
+    V_J: np.ndarray
+    V_C: np.ndarray
+    I0: np.ndarray
+    I_J: np.ndarray
+
+    def hamiltonian(self, E_J_delta, E_C_delta, out=None):
+        """The full Hamiltonian at the asymmetries, written into out when given."""
+        H = np.multiply(self.V_J, E_J_delta, out=out)
+        H += self.H0
+        H += E_C_delta * self.V_C
+        return H
+
+    def island(self, E_J_delta):
+        """The bare island Hamiltonian at the junction asymmetry."""
+        return self.I0 + E_J_delta * self.I_J
+
+
+def _checked_pieces(**pieces):
+    """The pieces in rad/s, each checked Hermitian and then symmetrized."""
+    for name, M in pieces.items():
+        require_hermitian(M, what=f"CPT {name}")
+        pieces[name] = TWO_PI * (M + M.conj().T) / 2.0
+    return pieces
+
+
+def _island_pieces(p: CptParams):
+    """I0 and I_J of cpt_operators, without the full-space pieces."""
+    n_I, cos_phi, sin_phi = _island_operators(p)
+    dn = n_I - p.n_g * np.eye(n_I.shape[0], dtype=complex)
+    return _checked_pieces(
+        I0=p.E_C_sigma * (dn @ dn) - p.E_J_sigma * np.cos(p.phi_ext / 2.0) * cos_phi,
+        I_J=np.sin(p.phi_ext / 2.0) * sin_phi,
+    )
+
+
+def cpt_operators(p: CptParams) -> CptOperators:
+    """The split of the CPT Hamiltonians at p's sums E_J_sigma and E_C_sigma;
+    p's asymmetries are not read.
 
     H = 4 E_Cr n_d^2 + (E_Lr/2) d^2 + E_CS (n_I - n_g)^2 - E_CD n_d (n_I - n_g)
         - E_JS cos((phi_ext + d)/2) cos(phi_I) + E_JD sin((phi_ext + d)/2) sin(phi_I)
 
-    Trig of the d operator is evaluated exactly via its eigendecomposition.
+    on Charge(island) x Boson(resonator); the island Hamiltonian freezes the
+    resonator at d = 0.  Trig of the d operator is evaluated exactly via its
+    eigendecomposition.  Each piece is checked Hermitian and then symmetrized.
     """
     n_I, cos_phi, sin_phi = _island_operators(p)
     delta, n_delta, cos_half, sin_half = _resonator_operators(p)
-    di = n_I.shape[0]
-    Ii = np.eye(di, dtype=complex)
+    Ii = np.eye(n_I.shape[0], dtype=complex)
     Ib = np.eye(p.n_fock + 1, dtype=complex)
     dn = n_I - p.n_g * Ii
 
     H_osc = 4.0 * p.E_Cr * (n_delta @ n_delta) + 0.5 * p.E_Lr * (delta @ delta)
-    H = (
-        np.kron(Ii, H_osc)
+    full = _checked_pieces(
+        H0=np.kron(Ii, H_osc)
         + p.E_C_sigma * np.kron(dn @ dn, Ib)
-        - p.E_C_delta * np.kron(dn, n_delta)
-        - p.E_J_sigma * np.kron(cos_phi, cos_half)
-        + p.E_J_delta * np.kron(sin_phi, sin_half)
+        - p.E_J_sigma * np.kron(cos_phi, cos_half),
+        V_J=np.kron(sin_phi, sin_half),
+        V_C=-np.kron(dn, n_delta),
     )
-    return TWO_PI * (H + H.conj().T) / 2.0
+    return CptOperators(**full, **_island_pieces(p))
+
+
+def build_cpt_hamiltonian(p: CptParams) -> np.ndarray:
+    """Full CPT Hamiltonian on Charge(island) x Boson(resonator), rad/s
+    (see cpt_operators).  Complex Hermitian: the E_J_delta and E_C_delta
+    terms are imaginary."""
+    return cpt_operators(p).hamiltonian(p.E_J_delta, p.E_C_delta)
 
 
 def cpt_island_hamiltonian(p: CptParams) -> np.ndarray:
-    """Bare island Hamiltonian (resonator frozen at delta = 0), rad/s."""
-    n_I, cos_phi, sin_phi = _island_operators(p)
-    dn = n_I - p.n_g * np.eye(n_I.shape[0], dtype=complex)
-    H = (
-        p.E_C_sigma * (dn @ dn)
-        - p.E_J_sigma * np.cos(p.phi_ext / 2.0) * cos_phi
-        + p.E_J_delta * np.sin(p.phi_ext / 2.0) * sin_phi
-    )
-    H = TWO_PI * (H + H.conj().T) / 2.0
-    return H
+    """Bare island Hamiltonian (resonator frozen at delta = 0), rad/s: the
+    island pieces of cpt_operators at p's junction asymmetry."""
+    island = _island_pieces(p)
+    return island["I0"] + p.E_J_delta * island["I_J"]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kerrqed.cli import (
@@ -16,10 +17,11 @@ from kerrqed.cli import (
     write_csv,
     write_json,
 )
+from kerrqed.constants import TWO_PI
 from kerrqed.dephasing import dephasing_curve
-from kerrqed.dispersive import mixed_model_shifts
+from kerrqed.dispersive import cpt_shifts, mixed_model_shifts
 from kerrqed.errors import LabelingError
-from kerrqed.models import MixedCouplingParams
+from kerrqed.models import CptParams, MixedCouplingParams, build_cpt_hamiltonian
 from kerrqed.readout import ReadoutConfig, error_curve_sweep
 from kerrqed.units import UnitError, parse_quantity
 
@@ -213,6 +215,70 @@ class TestRun:
         assert rows[0][fail_col] == ""
         assert rows[2][fail_col] != ""
         # the thread pool gives the same rows, the failure row included
+        out2 = tmp_path / "cpt2.csv"
+        assert run(path, out_path=str(out2), fmt="csv", jobs=2, keep_going=True) == 0
+        assert read_rows(out2) == (columns, rows)
+
+    def test_cpt_sweep_rows_and_failures(self, tmp_path):
+        # E_C_delta is the slow axis; E_J_delta = 18 GHz makes E_J2 = 0, an
+        # invalid point inside the grid, and (1.5 GHz, 8.8 GHz) on the
+        # criterion-9 line fails its labeling
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "cpt_sweep",
+                "params": {
+                    "E_J_sigma": "18 GHz",
+                    "E_C_sigma": "10 GHz",
+                    "E_Cr": "10 GHz",
+                    "E_Lr": "100 GHz",
+                    "n_g": 0.5,
+                    "phi_ext": 3.0,
+                },
+                "grid": [
+                    {"name": "E_C_delta", "start": "7.6 GHz", "stop": "8.8 GHz", "count": 3},
+                    {"name": "E_J_delta", "start": "1.5 GHz", "stop": "18 GHz", "count": 2},
+                ],
+            },
+        )
+        out = tmp_path / "cpt.csv"
+        assert run(path, out_path=str(out), fmt="csv", keep_going=True) == 0
+        columns, rows = read_rows(out)
+        assert columns == ["E_C_delta", "E_J_delta", "chi_Hz", "chi_prime_Hz", "fail"]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (c, j) for c in (7.6e9, 8.2e9, 8.8e9) for j in (1.5e9, 18e9)
+        ]
+        failures = []
+        for row in rows:
+            ecd, ejd = float(row[0]), float(row[1])
+            try:
+                p = CptParams(
+                    E_J1=0.5 * (18e9 + ejd),
+                    E_J2=0.5 * (18e9 - ejd),
+                    E_C1=0.5 * (10e9 + ecd),
+                    E_C2=0.5 * (10e9 - ecd),
+                    E_Cr=10e9,
+                    E_Lr=100e9,
+                    n_g=0.5,
+                    phi_ext=3.0,
+                    n_charge_max=6,
+                    n_fock=8,
+                )
+                rep = cpt_shifts(p)
+            except (ValueError, LabelingError) as exc:
+                # the fail message may hold a comma, so read_rows splits it
+                assert row[2:4] == ["", ""] and ",".join(row[4:]) == str(exc)
+                failures.append(str(exc))
+                continue
+            assert row[4] == ""
+            tol = 1e3 * np.finfo(float).eps * np.linalg.norm(build_cpt_hamiltonian(p), 2) / TWO_PI
+            assert abs(float(row[2]) - rep.chi) <= tol
+            assert abs(float(row[3]) - rep.chi_prime) <= tol
+        assert failures == ["E_J2 must be positive"] * 2 + [
+            "no dressed label for (q=0, n=2)",
+            "E_J2 must be positive",
+        ]
+        # the batched rule ignores --jobs and writes the same rows
         out2 = tmp_path / "cpt2.csv"
         assert run(path, out_path=str(out2), fmt="csv", jobs=2, keep_going=True) == 0
         assert read_rows(out2) == (columns, rows)

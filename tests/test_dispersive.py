@@ -10,9 +10,12 @@ from kerrqed.constants import TWO_PI
 from kerrqed.dispersive import (
     BATCH_CHUNK,
     CHI_ANALYTIC_TO_NUMERIC,
+    CPT_CHUNK,
+    _mixed_blocks,
     chi_analytic,
     chi_prime_noise_floor,
     chi_zero_gp,
+    cpt_shift_batch,
     cpt_shifts,
     cpt_spectrum,
     deltaH_coefficients,
@@ -413,6 +416,23 @@ class TestBatchedEngine:
             assert chi[i] == rep.chi and chi_prime[i] == rep.chi_prime
 
 
+@seed(20261024)
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    nu_q=st.one_of(st.floats(4.5e9, 5.5e9), NEAR[0]),
+    nu_r=st.sampled_from([NU_R, 6.3e9]),
+    n_max=st.integers(2, 16),
+)
+def test_mixed_blocks_restrict_full_build(nu_q, nu_r, n_max):
+    # H0 from its diagonal is the full build's H0 restricted to each parity
+    # block, bitwise, and the full H0 has nothing off its diagonal
+    H0 = build_mixed_spin_boson(MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max))
+    assert np.array_equal(H0, np.diag(np.diag(H0)))
+    rows, blocks = _mixed_blocks(nu_q, nu_r, n_max)
+    for r, (block_H0, *_) in zip(rows, blocks, strict=True):
+        assert np.array_equal(block_H0, H0[np.ix_(r, r)])
+
+
 class TestAnalyticFormulas:
     def test_chi_analytic_value(self):
         # nu_q=5 GHz, nu_r=8 GHz, g_X=g_P=50 MHz
@@ -461,6 +481,71 @@ class TestNoiseFloor:
         floor = chi_prime_noise_floor(p)
         signal = abs(mixed_model_shifts(p).chi_prime)
         assert floor < 0.1 * signal
+
+
+# The sums and resonator of the criterion-9 circuit, as a cpt_sweep base.
+CPT9 = {"E_J_sigma": 18e9, "E_C_sigma": 10e9, "E_Cr": 10e9, "E_Lr": 100e9, "n_charge_max": 6, "n_fock": 8}
+
+
+def sweep_point(base, E_J_delta, E_C_delta):
+    """The per-point CptParams of a cpt_sweep point."""
+    S, C = base["E_J_sigma"], base["E_C_sigma"]
+    return CptParams(
+        E_J1=0.5 * (S + E_J_delta),
+        E_J2=0.5 * (S - E_J_delta),
+        E_C1=0.5 * (C + E_C_delta),
+        E_C2=0.5 * (C - E_C_delta),
+        **{k: base[k] for k in ("E_Cr", "E_Lr", "n_g", "phi_ext", "n_charge_max", "n_fock")},
+    )
+
+
+def assert_batch_matches_per_point(base, E_J_delta, E_C_delta):
+    """cpt_shift_batch against cpt_shifts on each point's own CptParams: the
+    same failure, or shifts within 1e3 eps ||H||_2 / 2 pi."""
+    chi, chi_prime, errors = cpt_shift_batch(base, E_J_delta, E_C_delta)
+    E_J_delta, E_C_delta = (a.ravel() for a in np.broadcast_arrays(E_J_delta, E_C_delta))
+    for i, point in enumerate(zip(E_J_delta, E_C_delta)):
+        try:
+            p = sweep_point(base, *point)
+            rep = cpt_shifts(p)
+        except (ValueError, LabelingError) as exc:
+            assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc), point
+            assert np.isnan(chi[i]) and np.isnan(chi_prime[i])
+            continue
+        assert errors[i] is None, point
+        tol = 1e3 * np.finfo(np.float64).eps * np.linalg.norm(build_cpt_hamiltonian(p), 2) / TWO_PI
+        assert abs(chi[i] - rep.chi) <= tol and abs(chi_prime[i] - rep.chi_prime) <= tol, point
+    return errors
+
+
+class TestCptBatch:
+    @seed(20261025)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(point=st.one_of(CPT_BOX, CPT_LINE))
+    @example(point=(1.5e9, 8.8e9, 0.5, 3.0))
+    @example(point=(1.5e9, 9.0e9, 0.5, 3.0))
+    def test_matches_per_point(self, point):
+        E_J_delta, E_C_delta, n_g, phi_ext = point
+        assert_batch_matches_per_point({**CPT9, "n_g": n_g, "phi_ext": phi_ext}, E_J_delta, E_C_delta)
+
+    def test_criterion9_grid_across_chunks(self):
+        # the criterion-9 line and the box's corners, with E_J2 = 0 on the
+        # last row, read flattened over more than one chunk
+        E_J_delta = np.array([-3e9, 0.0, 1.5e9, 3e9, 18e9])[:, None]
+        E_C_delta = np.array([-9e9, -4.5e9, 0.0, 4.5e9, 7.5e9, 8.0e9, 8.5e9, 8.8e9, 8.9e9, 9e9])
+        assert E_J_delta.size * E_C_delta.size > CPT_CHUNK
+        errors = assert_batch_matches_per_point({**CPT9, "n_g": 0.5, "phi_ext": 3.0}, E_J_delta, E_C_delta)
+        assert sum(isinstance(e, LabelingError) for e in errors) >= 2
+        assert sum(isinstance(e, ValueError) for e in errors) == E_C_delta.size
+
+    def test_visiting_order_changes_within_a_chunk(self):
+        # with the resonator at 8.9 GHz the island levels cross its bare
+        # ladder as E_J_delta varies: points of one chunk visit their bare
+        # states in different orders, and many fail their labeling
+        base = {**CPT9, "E_Cr": 1e9, "E_Lr": 10e9, "n_g": 0.5, "phi_ext": 3.0}
+        E_J_delta = np.linspace(-17e9, 17e9, 2 * CPT_CHUNK + 3)
+        errors = assert_batch_matches_per_point(base, E_J_delta, 2e9)
+        assert 0 < sum(e is not None for e in errors) < E_J_delta.size
 
 
 class TestCptShifts:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kerrqed.constants import TWO_PI
 from kerrqed.dephasing import DephasingParams, thermal_occupation
@@ -14,6 +16,7 @@ from kerrqed.models import (
     build_mixed_spin_boson,
     build_synthetic_dispersive,
     cpt_island_hamiltonian,
+    cpt_operators,
     cpt_two_level_couplings,
 )
 from kerrqed.qspace import hermiticity_residual
@@ -157,6 +160,59 @@ class TestCpt:
         ei = np.sort(np.linalg.eigvalsh(cpt_island_hamiltonian(p)))
         nu_q = (ei[1] - ei[0]) / TWO_PI
         assert 3e9 < nu_q < 7e9
+
+
+def kron_cpt_oracle(p):
+    """The CPT Hamiltonian and its bare island one as single kron sums, rad/s."""
+    charges = np.arange(-p.n_charge_max, p.n_charge_max + 1) + round(p.n_g)
+    di = charges.size
+    dn = np.diag(charges - p.n_g).astype(complex)
+    cos_phi = (np.eye(di, k=1) + np.eye(di, k=-1)) / 2.0
+    sin_phi = (np.eye(di, k=1) - np.eye(di, k=-1)) / 2j
+    b = np.diag(np.sqrt(np.arange(1.0, p.n_fock + 1)), k=1)
+    delta = p.delta_zpf * (b + b.T)
+    n_delta = 1j * p.n_zpf * (b.T - b)
+    evals, U = np.linalg.eigh(delta)
+    cos_half = (U * np.cos((p.phi_ext + evals) / 2.0)) @ U.T
+    sin_half = (U * np.sin((p.phi_ext + evals) / 2.0)) @ U.T
+    Ib = np.eye(p.n_fock + 1)
+    H = (
+        np.kron(np.eye(di), 4.0 * p.E_Cr * (n_delta @ n_delta) + 0.5 * p.E_Lr * (delta @ delta))
+        + p.E_C_sigma * np.kron(dn @ dn, Ib)
+        - p.E_C_delta * np.kron(dn, n_delta)
+        - p.E_J_sigma * np.kron(cos_phi, cos_half)
+        + p.E_J_delta * np.kron(sin_phi, sin_half)
+    )
+    island = (
+        p.E_C_sigma * (dn @ dn)
+        - p.E_J_sigma * np.cos(p.phi_ext / 2.0) * cos_phi
+        + p.E_J_delta * np.sin(p.phi_ext / 2.0) * sin_phi
+    )
+    return [TWO_PI * (M + M.conj().T) / 2.0 for M in (H, island)]
+
+
+@seed(20261023)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    E_J_delta=st.floats(-17e9, 17e9),
+    E_C_delta=st.floats(-9.9e9, 9.9e9),
+    n_g=st.floats(-2.0, 2.0),
+    phi_ext=st.floats(0.0, 2.0 * np.pi),
+)
+def test_cpt_operator_split_matches_kron_formula(E_J_delta, E_C_delta, n_g, phi_ext):
+    p = cpt(
+        E_J1=9e9 + E_J_delta / 2,
+        E_J2=9e9 - E_J_delta / 2,
+        E_C1=5e9 + E_C_delta / 2,
+        E_C2=5e9 - E_C_delta / 2,
+        n_g=n_g,
+        phi_ext=phi_ext,
+    )
+    H, island = kron_cpt_oracle(p)
+    for got, ref in ((build_cpt_hamiltonian(p), H), (cpt_island_hamiltonian(p), island)):
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    for M in cpt_operators(p):
+        assert np.array_equal(M, M.conj().T)
 
 
 def test_hamiltonian_dtypes():
