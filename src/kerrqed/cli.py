@@ -15,10 +15,10 @@ Experiments are described by JSON config files:
 Frequencies, times, and temperatures are strings with explicit unit
 suffixes; dimensionless parameters are plain numbers.  Grid axes take
 "scale": "linear" (default) or "log" and count >= 2; rows are emitted in
-row-major grid order (first axis slowest) regardless of worker scheduling.
+row-major grid order (first axis slowest).
 
-Exit codes: 0 success, 1 config error, 2 numerical failure at a grid point
-(suppressed by --keep-going, which records failures in the fail column
+Exit codes: 0 success, 1 config or usage error, 2 numerical failure at a grid
+point (suppressed by --keep-going, which records failures in the fail column
 instead).  Warnings raised at a point are not filtered; they reach stderr.
 """
 
@@ -82,11 +82,19 @@ def _parse_value(name, kind, raw):
     raise ConfigError(f"params.{name}: unhandled kind {kind!r}")
 
 
+def _record(raw, where, allowed):
+    """raw, checked to be a JSON object whose keys are all in allowed."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(raw) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} field(s): {sorted(unknown)}")
+    return raw
+
+
 def parse_params(experiment, raw_params):
     schema = EXPERIMENTS[experiment].params
-    unknown = set(raw_params) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown parameter(s) for {experiment}: {sorted(unknown)}")
+    _record(raw_params, "params", schema)
     out = {}
     for name, (kind, required, default) in schema.items():
         if name in raw_params:
@@ -108,8 +116,7 @@ def parse_grid(experiment, raw_grid):
     allowed = EXPERIMENTS[experiment].axes
     axes = []
     for i, axis in enumerate(raw_grid):
-        if not isinstance(axis, dict):
-            raise ConfigError(f"grid[{i}] must be an object")
+        _record(axis, f"grid[{i}]", ("name", "start", "stop", "count", "scale"))
         for key in ("name", "start", "stop", "count"):
             if key not in axis:
                 raise ConfigError(f"grid[{i}] missing field {key!r}")
@@ -316,8 +323,7 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+    _record(cfg, "top-level", ("experiment", "params", "grid", "output"))
     if "experiment" not in cfg:
         raise ConfigError(f"{path}: missing 'experiment' field")
     experiment = cfg["experiment"]
@@ -325,19 +331,14 @@ def load_config(path):
         close = difflib.get_close_matches(str(experiment), EXPERIMENTS, n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(f"unknown experiment {experiment!r}{hint}")
-    unknown = set(cfg) - {"experiment", "params", "grid", "output"}
-    if unknown:
-        raise ConfigError(f"unknown top-level field(s): {sorted(unknown)}")
-    raw_params = cfg.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise ConfigError("params must be an object")
-    output = cfg.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output must be an object")
+    output = _record(cfg.get("output", {}), "output", ("path", "format"))
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"output.path must be a string, got {out_path!r}")
     fmt = output.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
-    params = parse_params(experiment, raw_params)
+    params = parse_params(experiment, cfg.get("params", {}))
     axes = parse_grid(experiment, cfg.get("grid"))
     if EXPERIMENTS[experiment].axes and not axes:
         raise ConfigError(f"{experiment} requires at least one grid axis")
@@ -345,7 +346,7 @@ def load_config(path):
         "experiment": experiment,
         "params": params,
         "grid": axes,
-        "out_path": output.get("path"),
+        "out_path": out_path,
         "format": fmt,
         "echo": cfg,
     }
@@ -357,17 +358,24 @@ def _fmt_cell(v):
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _emit(path, text):
+    """Write text to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from None
+
+
 def write_csv(path, columns, rows, metadata):
     lines = [f"# {k}: {v}" for k, v in metadata.items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, columns, rows, metadata):
@@ -382,26 +390,19 @@ def write_json(path, columns, rows, metadata):
         "columns": list(columns),
         "rows": [[clean(v) for v in row] for row in rows],
     }
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
-def run(config_path, out_path=None, fmt=None, jobs=1, keep_going=False):
+def run(config_path, out_path=None, fmt=None, keep_going=False):
     cfg = load_config(config_path)
     experiment = cfg["experiment"]
     exp = EXPERIMENTS[experiment]
     out_path = out_path if out_path is not None else cfg["out_path"]
     fmt = fmt if fmt is not None else cfg["format"]
-    if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
 
     t0 = time.monotonic()
     axes = cfg["grid"]
-    points = grid(exp.rule, cfg["params"], axes, jobs)
+    points = grid(exp.rule, cfg["params"], axes)
     failed = sum(exc is not None for _, _, exc in points)
     if not exp.axes:
         [(_, result, exc)] = points
@@ -438,8 +439,16 @@ def list_experiments():
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like config errors: 2 means a failed grid point."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kerrqed", description="Batch experiments for dispersive and Kerr-shift circuit QED."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -447,13 +456,6 @@ def build_parser():
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", default=None, help="output path (overrides config; default stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    p_run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker thread pool size for the per-point experiments kappa_sweep and "
-        "dephasing_curve (default 1); shift_sweep and cpt_sweep run as batched solves",
-    )
     p_run.add_argument(
         "--keep-going", action="store_true", help="record per-point failures instead of exiting 2"
     )
@@ -471,7 +473,6 @@ def main(argv=None):
             args.config,
             out_path=args.out,
             fmt=args.format,
-            jobs=args.jobs,
             keep_going=args.keep_going,
         )
     except ConfigError as exc:

@@ -4,7 +4,6 @@ point rule, or one batch rule, evaluated over a parameter grid."""
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,17 +20,16 @@ def batch(rule):
     return rule
 
 
-def grid(point, base, axes, jobs=1):
+def grid(point, base, axes):
     """[(values, result, exc)] of point(params) over the row-major product of axes.
 
     axes is [(name, values)], first axis slowest; params is base updated
     with the float axis values, which form `values` (with no axes, point
     runs once on base).  A point raising one of POINT_ERRORS is recorded as
-    (values, None, exc); other exceptions propagate.  jobs > 1 uses a thread
-    pool without changing the order.  A rule marked with `batch` runs once
-    on the whole grid instead, whatever jobs; an exception it returns for a
-    point is recorded for that point, and one of POINT_ERRORS that it raises
-    is recorded for every point.  No warning filter is installed.
+    (values, None, exc); other exceptions propagate.  A rule marked with
+    `batch` runs once on the whole grid instead; an exception it returns for
+    a point is recorded for that point, and one of POINT_ERRORS that it
+    raises is recorded for every point.  No warning filter is installed.
     """
     names = [name for name, _ in axes]
     combos = [tuple(map(float, c)) for c in itertools.product(*(vals for _, vals in axes))]
@@ -53,7 +51,4 @@ def grid(point, base, axes, jobs=1):
         except POINT_ERRORS as exc:
             return values, None, exc
 
-    if jobs == 1:
-        return [evaluate(values) for values in combos]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(evaluate, combos))
+    return [evaluate(values) for values in combos]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kerrqed.cli import (
+    EXPERIMENTS,
     ConfigError,
     list_experiments,
     load_config,
@@ -126,6 +127,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            (
+                {"grid": [{"name": "g_X", "start": "0 MHz", "stop": "1 MHz", "count": 2,
+                           "scael": "log"}]},
+                "scael",
+            ),
+            ({"output": {"fromat": "json"}}, "fromat"),
+            ({"output": "out.csv"}, "output must be an object"),
+            ({"outptu": {}}, "outptu"),
+            ({"params": {"nu_q": "5 GHz", "nu_r": "8 GHz", "n_mx": 6}}, "n_mx"),
+            ({"output": {"path": 2}}, "output.path"),
+            ({"output": {"path": True}}, "output.path"),
+            ({"output": {"path": 123}}, "output.path"),
+        ],
+        ids=["axis_key", "output_key", "output_type", "top_level_key", "params_key",
+             "path_stderr_fd", "path_bool", "path_int"],
+    )
+    def test_config_fields_checked(self, tmp_path, extra, field):
+        # an integer path would be opened as a file descriptor and closed
+        with pytest.raises(ConfigError, match=field):
+            load_config(shift_config(tmp_path, **extra))
+
 
 class TestRun:
     def test_shift_sweep_csv(self, tmp_path):
@@ -142,12 +167,11 @@ class TestRun:
 
     def test_determinism_and_parallel_order(self, tmp_path):
         cfg = shift_config(tmp_path)
-        out1, out2, out3 = (tmp_path / f"o{i}.csv" for i in range(3))
-        run(cfg, out_path=str(out1), fmt="csv", jobs=1)
-        run(cfg, out_path=str(out2), fmt="csv", jobs=1)
-        run(cfg, out_path=str(out3), fmt="csv", jobs=4)
+        out1, out2 = tmp_path / "o1.csv", tmp_path / "o2.csv"
+        for out in (out1, out2):
+            run(cfg, out_path=str(out), fmt="csv")
         strip = lambda p: [l for l in open(p).read().splitlines() if not l.startswith("# wall")]
-        assert strip(out1) == strip(out2) == strip(out3)
+        assert strip(out1) == strip(out2)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "out.json"
@@ -214,10 +238,6 @@ class TestRun:
         fail_col = columns.index("fail")
         assert rows[0][fail_col] == ""
         assert rows[2][fail_col] != ""
-        # the thread pool gives the same rows, the failure row included
-        out2 = tmp_path / "cpt2.csv"
-        assert run(path, out_path=str(out2), fmt="csv", jobs=2, keep_going=True) == 0
-        assert read_rows(out2) == (columns, rows)
 
     def test_cpt_sweep_rows_and_failures(self, tmp_path):
         # E_C_delta is the slow axis; E_J_delta = 18 GHz makes E_J2 = 0, an
@@ -278,10 +298,6 @@ class TestRun:
             "no dressed label for (q=0, n=2)",
             "E_J2 must be positive",
         ]
-        # the batched rule ignores --jobs and writes the same rows
-        out2 = tmp_path / "cpt2.csv"
-        assert run(path, out_path=str(out2), fmt="csv", jobs=2, keep_going=True) == 0
-        assert read_rows(out2) == (columns, rows)
 
     def test_shift_sweep_records_failed_points(self, tmp_path):
         # g_X = 3 GHz, g_P = 1 GHz at 4/8 GHz is the ultrastrong point whose
@@ -447,6 +463,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert "chi_Hz" in out
 
+    def test_usage_error_exit_1(self, tmp_path, capsys):
+        # exit code 2 means a failed grid point, so an unknown flag exits 1
+        with pytest.raises(SystemExit) as exited:
+            main(["run", shift_config(tmp_path, count=2), "--jobs", "2"])
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage: kerrqed" in err and "--jobs" in err
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["run", shift_config(tmp_path, count=2), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err and "No such file" in err
+
 
 def test_import_loads_no_scipy():
     # a cold start imports numpy only: scipy would add ~0.3 s and ~20 MB
@@ -516,3 +546,53 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, doc, name):
     err = capsys.readouterr().err
     assert "config error" in err and name in err
     assert not (tmp_path / "out.csv").exists()
+
+
+# one tiny config per experiment; each grid holds one point that fails
+STRICT_JSON_CONFIGS = {
+    "shift_sweep": {
+        "params": {"nu_q": "4 GHz", "nu_r": "8 GHz", "g_P": "1 GHz", "n_max": 10},
+        "grid": [{"name": "g_X", "start": "10 MHz", "stop": "3 GHz", "count": 2}],
+    },
+    "cpt_sweep": {
+        "params": {
+            "E_J_sigma": "18 GHz", "E_C_sigma": "10 GHz", "E_Cr": "10 GHz", "E_Lr": "100 GHz",
+            "n_g": 0.5, "phi_ext": 3.0,
+        },
+        "grid": [{"name": "E_C_delta", "start": "0 GHz", "stop": "10 GHz", "count": 2}],
+    },
+    "dephasing_curve": {
+        "params": {"chi_prime": "1 MHz", "kappa": "3 MHz", "nu_r": "8 GHz"},
+        "grid": [{"name": "T", "start": "-1 K", "stop": "1 K", "count": 3}],
+    },
+    "kappa_sweep": {
+        "params": {"chi_prime": "0.1 MHz", "n_steady": 15, "tau": "100 ns"},
+        "grid": [{"name": "kappa", "start": "-1 MHz", "stop": "3 MHz", "count": 2}],
+    },
+    "readout_sim": {
+        "params": {"kappa": "3 MHz", "chi_prime": "0.1 MHz", "n_steady": 15, "t_end": "50 ns"},
+    },
+    "overlap_scan": {
+        "params": {"nu_q": "5 GHz", "nu_r": "8 GHz", "g_X": "50 MHz", "n_max": 6,
+                   "n_max_scan": 3},
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_every_experiment_writes_strict_json(tmp_path, experiment):
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    path = write_config(tmp_path, {"experiment": experiment, **STRICT_JSON_CONFIGS[experiment]})
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(path, out_path=str(out), fmt="json", keep_going=True) == 0
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    rows = doc["rows"]
+    assert rows and all(len(row) == len(doc["columns"]) for row in rows)
+    if EXPERIMENTS[experiment].axes:
+        fail = doc["columns"].index("fail")
+        failed = [row for row in rows if row[fail]]
+        assert len(failed) == 1 and None in failed[0]

@@ -22,13 +22,9 @@ def batch_point(p):
 class TestGrid:
     axes = [("x", np.array([1, 2])), ("y", [10.0, 20.0, 30.0])]
 
-    @pytest.mark.parametrize(
-        "jobs, rule",
-        [(1, point), (3, point), (1, batch_point), (3, batch_point)],
-        ids=["1", "3", "batch-1", "batch-3"],
-    )
-    def test_row_major_with_failures(self, jobs, rule):
-        out = grid(rule, {"c": 0.5}, self.axes, jobs=jobs)
+    @pytest.mark.parametrize("rule", [point, batch_point], ids=["point", "batch"])
+    def test_row_major_with_failures(self, rule):
+        out = grid(rule, {"c": 0.5}, self.axes)
         assert [values for values, _, _ in out] == [
             (1.0, 10.0), (1.0, 20.0), (1.0, 30.0), (2.0, 10.0), (2.0, 20.0), (2.0, 30.0)
         ]
