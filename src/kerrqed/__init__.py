@@ -14,7 +14,7 @@ from .dephasing import (
     z_quadratic_analytic,
     z_trajectory,
 )
-from .diagnostics import OverlapScan, critical_photon_estimate, overlap_scan
+from .diagnostics import OverlapScan, overlap_scan
 from .dispersive import (
     DressedSpectrum,
     ShiftReport,
@@ -32,7 +32,6 @@ from .dispersive import (
 )
 from .errors import (
     ConvergenceError,
-    DegeneratePointError,
     HermiticityError,
     KerrqedError,
     LabelingError,
@@ -43,7 +42,6 @@ from .models import (
     build_cpt_hamiltonian,
     build_mixed_spin_boson,
     build_synthetic_dispersive,
-    cpt_two_level_couplings,
 )
 from .qspace import (
     Boson,
@@ -67,7 +65,6 @@ __all__ = [
     "Charge",
     "ConvergenceError",
     "CptParams",
-    "DegeneratePointError",
     "DephasingParams",
     "DephasingResult",
     "DressedSpectrum",
@@ -90,8 +87,6 @@ __all__ = [
     "cpt_shift_batch",
     "cpt_shifts",
     "cpt_spectrum",
-    "cpt_two_level_couplings",
-    "critical_photon_estimate",
     "dephasing_curve",
     "eigendecompose",
     "extract_shifts",

@@ -2,8 +2,8 @@
 
 For each labeled dressed state |q', n> the qubit degree of freedom is the
 partial trace over the resonator; comparing it with the reduced state of
-|q, 0> versus photon number n reveals the onset of hybridization with other
-levels and hence the critical photon regime.
+|q, 0> versus photon number n shows where it starts to hybridize with
+other levels.
 """
 
 from __future__ import annotations
@@ -93,19 +93,3 @@ def overlap_scan(
                 prev = f
                 rows.append((q, qp, n, f))
     return OverlapScan(rows=tuple(rows))
-
-
-def critical_photon_estimate(scan: OverlapScan, threshold: float) -> dict:
-    """Smallest n per (q, q') pair where the fidelity exceeds threshold;
-    None for pairs that never cross within the scan range."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    pairs = sorted({(q, qp) for (q, qp, _, _) in scan.rows})
-    result = {}
-    for q, qp in pairs:
-        result[(q, qp)] = None
-        for n, f in scan.pair(q, qp):
-            if f > threshold:
-                result[(q, qp)] = n
-                break
-    return result

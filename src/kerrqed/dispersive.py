@@ -70,10 +70,6 @@ class ShiftReport:
 
     chi: float
     chi_prime: float
-    K_r0: float
-    K_r1: float
-    nu_r_dressed: float
-    nu_q_dressed: float
 
 
 def _check_levels(q_levels, n_levels, dq, db):
@@ -157,24 +153,17 @@ def label_dressed_states(
 
 
 def _shift_values(E):
-    """(chi, chi', K_r0, K_r1, nu_r_dressed, nu_q_dressed) in Hz from the
-    labeled energies E[(q, n)] in rad/s; scalars and arrays alike."""
+    """(chi, chi') in Hz from the labeled energies E[(q, n)] in rad/s;
+    scalars and arrays alike."""
     wr0 = E[(0, 1)] - E[(0, 0)]
     wr1 = E[(1, 1)] - E[(1, 0)]
     K_r0 = (E[(0, 2)] - 2.0 * E[(0, 1)] + E[(0, 0)]) / TWO_PI
     K_r1 = (E[(1, 2)] - 2.0 * E[(1, 1)] + E[(1, 0)]) / TWO_PI
-    return (
-        (wr1 - wr0) / (2.0 * TWO_PI),
-        (K_r1 - K_r0) / 4.0,
-        K_r0,
-        K_r1,
-        0.5 * (wr0 + wr1) / TWO_PI,
-        (E[(1, 0)] - E[(0, 0)]) / TWO_PI,
-    )
+    return (wr1 - wr0) / (2.0 * TWO_PI), (K_r1 - K_r0) / 4.0
 
 
 def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
-    """chi, chi', and conditioned self-Kerr values from labeled energies."""
+    """chi and chi' from labeled energies."""
     return ShiftReport(*_shift_values({label: ds.energy(*label) for label in SHIFT_LABELS}))
 
 
@@ -246,7 +235,7 @@ def _store_shifts(E, found, points, chi, chi_prime, errors):
     ok = np.logical_and.reduce([found[label] for label in SHIFT_LABELS])
     chi[points], chi_prime[points] = _shift_values(
         {label: np.where(ok, E[label], np.nan) for label in SHIFT_LABELS}
-    )[:2]
+    )
     for q, n in reversed(SHIFT_LABELS):
         for i in np.flatnonzero(~found[(q, n)]):
             errors[points[i]] = LabelingError(f"no dressed label for (q={q}, n={n})")
@@ -437,34 +426,21 @@ def chi_analytic(p: MixedCouplingParams) -> float:
     return num / (p.nu_r**2 - p.nu_q**2)
 
 
-# Exact diagonalization (and second-order perturbation theory carried out for
-# the pinned Pauli convention) gives a dispersive shift of -2x the closed-form
-# chi_analytic above; the proportionality is exact, so both share the same
-# zero locus.  The numeric extraction is the ground truth.
+# In the pinned Pauli convention the numeric chi is -2 chi_analytic at second
+# order in the couplings, and chi_zero_gp's roots are that order's zero locus.
+# At fourth order chi = -2 chi_analytic + 2 chi' + O(g_e^6 / |Delta|^5), with
+# g_e = |g_X| + |g_P| and Delta = nu_q - nu_r, so where chi_analytic vanishes
+# the numeric chi is 2 chi', not 0.  The numeric extraction is the ground truth.
 CHI_ANALYTIC_TO_NUMERIC = -2.0
 
 
 def chi_zero_gp(g_X: float, nu_q: float, nu_r: float):
-    """The two g_P roots of chi = 0: g_P = (g_X/w_q)(w_r +/- sqrt(w_r^2 - w_q^2))."""
+    """The two g_P roots of the second-order chi_analytic = 0:
+    g_P = (g_X/w_q)(w_r +/- sqrt(w_r^2 - w_q^2)).
+
+    There the numeric chi is 2 chi' + O(g_e^6 / |Delta|^5), not 0 (see
+    CHI_ANALYTIC_TO_NUMERIC)."""
     if not nu_r > nu_q > 0:
         raise ValueError("real roots require nu_r > nu_q > 0")
     s = np.sqrt(nu_r**2 - nu_q**2)
     return (g_X / nu_q) * (nu_r - s), (g_X / nu_q) * (nu_r + s)
-
-
-@dataclass(frozen=True)
-class CorrectionCoefficients:
-    """Coefficients (Hz) of sigma_z X^2 and sigma_z P^2 in the leading-order
-    correction Hamiltonian."""
-
-    c_X2: float
-    c_P2: float
-
-
-def deltaH_coefficients(p: MixedCouplingParams) -> CorrectionCoefficients:
-    if p.nu_q == p.nu_r:
-        raise ValueError("resonant nu_q = nu_r")
-    den = p.nu_r**2 - p.nu_q**2
-    c_X2 = (p.nu_r * p.g_P * p.g_X - p.nu_q * p.g_X**2) / den
-    c_P2 = (p.nu_r * p.g_P * p.g_X + p.nu_q * p.g_P**2) / den
-    return CorrectionCoefficients(c_X2=c_X2, c_P2=c_P2)

@@ -13,9 +13,5 @@ class ConvergenceError(KerrqedError):
     """Iteration or truncation failed to converge."""
 
 
-class DegeneratePointError(KerrqedError):
-    """Parameter point where a rotation/reduction is singular."""
-
-
 class LabelingError(KerrqedError):
     """Dressed-state labeling could not satisfy the request."""

@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import DegeneratePointError
 from .qspace import Boson, Charge, HilbertSpace, SpinHalf, annihilation, pauli, require_hermitian
 
 
@@ -214,24 +213,6 @@ class CptOperators(NamedTuple):
         return self.I0 + E_J_delta * self.I_J
 
 
-def _checked_pieces(**pieces):
-    """The pieces in rad/s, each checked Hermitian and then symmetrized."""
-    for name, M in pieces.items():
-        require_hermitian(M, what=f"CPT {name}")
-        pieces[name] = TWO_PI * (M + M.conj().T) / 2.0
-    return pieces
-
-
-def _island_pieces(p: CptParams):
-    """I0 and I_J of cpt_operators, without the full-space pieces."""
-    n_I, cos_phi, sin_phi = _island_operators(p)
-    dn = n_I - p.n_g * np.eye(n_I.shape[0], dtype=complex)
-    return _checked_pieces(
-        I0=p.E_C_sigma * (dn @ dn) - p.E_J_sigma * np.cos(p.phi_ext / 2.0) * cos_phi,
-        I_J=np.sin(p.phi_ext / 2.0) * sin_phi,
-    )
-
-
 def cpt_operators(p: CptParams) -> CptOperators:
     """The split of the CPT Hamiltonians at p's sums E_J_sigma and E_C_sigma;
     p's asymmetries are not read.
@@ -250,14 +231,19 @@ def cpt_operators(p: CptParams) -> CptOperators:
     dn = n_I - p.n_g * Ii
 
     H_osc = 4.0 * p.E_Cr * (n_delta @ n_delta) + 0.5 * p.E_Lr * (delta @ delta)
-    full = _checked_pieces(
+    pieces = dict(
         H0=np.kron(Ii, H_osc)
         + p.E_C_sigma * np.kron(dn @ dn, Ib)
         - p.E_J_sigma * np.kron(cos_phi, cos_half),
         V_J=np.kron(sin_phi, sin_half),
         V_C=-np.kron(dn, n_delta),
+        I0=p.E_C_sigma * (dn @ dn) - p.E_J_sigma * np.cos(p.phi_ext / 2.0) * cos_phi,
+        I_J=np.sin(p.phi_ext / 2.0) * sin_phi,
     )
-    return CptOperators(**full, **_island_pieces(p))
+    for name, M in pieces.items():
+        require_hermitian(M, what=f"CPT {name}")
+        pieces[name] = TWO_PI * (M + M.conj().T) / 2.0
+    return CptOperators(**pieces)
 
 
 def build_cpt_hamiltonian(p: CptParams) -> np.ndarray:
@@ -265,67 +251,3 @@ def build_cpt_hamiltonian(p: CptParams) -> np.ndarray:
     (see cpt_operators).  Complex Hermitian: the E_J_delta and E_C_delta
     terms are imaginary."""
     return cpt_operators(p).hamiltonian(p.E_J_delta, p.E_C_delta)
-
-
-def cpt_island_hamiltonian(p: CptParams) -> np.ndarray:
-    """Bare island Hamiltonian (resonator frozen at delta = 0), rad/s: the
-    island pieces of cpt_operators at p's junction asymmetry."""
-    island = _island_pieces(p)
-    return island["I0"] + p.E_J_delta * island["I_J"]
-
-
-@dataclass(frozen=True)
-class CptTwoLevelCouplings:
-    """Coefficients of the CPB two-level reduction of the CPT couplings.
-
-    gX_eff multiplies n_delta sigma_x, gP_eff multiplies delta sigma_y;
-    extra_terms lists the remaining coefficients with operator signatures.
-    All coefficients in Hz.
-    """
-
-    z: complex
-    m: float
-    eps_island: float
-    gX_eff: float
-    gP_eff: float
-    extra_terms: tuple
-
-
-def cpt_two_level_couplings(p: CptParams, n_g_prime: float | None = None) -> CptTwoLevelCouplings:
-    """Rotated two-level coupling coefficients of the CPT in the CPB limit.
-
-    n_g_prime defaults to 1 - 2 n_g (deviation from charge degeneracy in the
-    two-level subspace); it can be overridden directly.
-    """
-    if p.E_C_sigma < p.E_J_sigma:
-        warnings.warn(
-            "E_C_sigma < E_J_sigma: outside the Cooper-pair-box charging limit; "
-            "two-level coefficients are only indicative",
-            stacklevel=2,
-        )
-    if n_g_prime is None:
-        n_g_prime = 1.0 - 2.0 * p.n_g
-    EJS, EJD = p.E_J_sigma, p.E_J_delta
-    ECS, ECD = p.E_C_sigma, p.E_C_delta
-    z = -np.cos(p.phi_ext / 2.0) + 1j * (EJD / EJS) * np.sin(p.phi_ext / 2.0)
-    if abs(z) < 1e-12:
-        raise DegeneratePointError(
-            "z = 0 (phi_ext = pi with balanced junctions): island rotation is singular"
-        )
-    m = ECS * n_g_prime / (2.0 * EJS)
-    eps = float(np.hypot(m, abs(z)))
-    gX_eff = ECD * abs(z) / (2.0 * eps)
-    gP_eff = EJD / abs(z)
-    extra = (
-        ("n_delta sigma_z", ECD * ECS * n_g_prime / (4.0 * EJS * eps)),
-        ("delta sigma_z", (EJS**2 + EJD**2) * np.sin(p.phi_ext) / (4.0 * EJS * eps)),
-        ("delta^2 sigma_z", 0.25 * EJS * abs(z) ** 2 / eps),
-        (
-            "delta sigma_x",
-            -ECS * (EJS**2 - EJD**2) * n_g_prime * np.sin(p.phi_ext) / (4.0 * EJS * eps * abs(z)),
-        ),
-        ("delta^2 sigma_x", 0.25 * EJS * abs(z) * m / eps),
-    )
-    return CptTwoLevelCouplings(
-        z=complex(z), m=m, eps_island=eps, gX_eff=gX_eff, gP_eff=gP_eff, extra_terms=extra
-    )

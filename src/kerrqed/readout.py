@@ -21,7 +21,6 @@ import numpy as np
 from .constants import TWO_PI
 from .errors import ConvergenceError
 from .ode import rk4
-from .sweep import grid
 
 # One-time calibration constant of the unspecified SNR normalization; frozen.
 SNR_PREFACTOR = 1.0
@@ -192,14 +191,6 @@ def snr_and_error(traj: ReadoutTrajectory, eta: float):
     return snr, error
 
 
-def output_field(traj: ReadoutTrajectory, branch: int = 0) -> np.ndarray:
-    """alpha_out = alpha_in + sqrt(kappa) alpha for one sigma_z branch."""
-    ka = TWO_PI * traj.kappa
-    alpha_in = -traj.epsilon / np.sqrt(ka)
-    alpha = traj.alpha0 if branch == 0 else traj.alpha1
-    return alpha_in + np.sqrt(ka) * alpha
-
-
 def read_at(traj: ReadoutTrajectory, tau: float) -> dict:
     """SNR and error at the first grid time >= tau (else the last), and the
     sigma_z = +1 photon number at the end of the trajectory."""
@@ -209,28 +200,3 @@ def read_at(traj: ReadoutTrajectory, tau: float) -> dict:
         "error": float(traj.error[i]),
         "n_final": float(abs(traj.alpha0[-1]) ** 2),
     }
-
-
-def error_curve_sweep(cfg: ReadoutConfig, sweep_param: str, values, tau: float | None = None):
-    """Recalibrate and integrate per sweep point; returns a list of row dicts.
-
-    sweep_param is 'chi_prime' or 'kappa'.  Failures are recorded per point
-    and the sweep continues.
-    """
-    if sweep_param not in ("chi_prime", "kappa"):
-        raise ValueError("sweep_param must be 'chi_prime' or 'kappa'")
-    if tau is None:
-        tau = cfg.t_end
-    rows = []
-    for (v,), result, exc in grid(
-        lambda p: read_at(integrate_trajectory(replace(cfg, **p, epsilon=None)), tau),
-        {},
-        [(sweep_param, values)],
-    ):
-        row = {sweep_param: v, "error": None, "snr": None, "n_final": None, "failed": ""}
-        if exc is None:
-            row.update(result)
-        else:
-            row["failed"] = str(exc)
-        rows.append(row)
-    return rows

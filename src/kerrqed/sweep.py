@@ -1,5 +1,5 @@
-"""The sweep engine of the CLI experiments and `error_curve_sweep`: one
-point rule, or one batch rule, evaluated over a parameter grid."""
+"""The sweep engine of the CLI experiments: one point rule, or one batch
+rule, evaluated over a parameter grid."""
 
 from __future__ import annotations
 

@@ -21,9 +21,9 @@ from kerrqed.cli import (
 from kerrqed.constants import TWO_PI
 from kerrqed.dephasing import dephasing_curve
 from kerrqed.dispersive import cpt_shifts, mixed_model_shifts
-from kerrqed.errors import LabelingError
+from kerrqed.errors import ConvergenceError, LabelingError
 from kerrqed.models import CptParams, MixedCouplingParams, build_cpt_hamiltonian
-from kerrqed.readout import ReadoutConfig, error_curve_sweep
+from kerrqed.readout import ReadoutConfig, calibrate_drive, integrate_trajectory, read_at
 from kerrqed.units import UnitError, parse_quantity
 
 
@@ -390,32 +390,40 @@ class TestRun:
 class TestLibraryAgreement:
     """A CLI sweep row equals the library's row for the same point."""
 
-    def test_kappa_sweep_matches_error_curve_sweep(self, tmp_path):
+    def test_kappa_sweep_failure_rows_match_library(self, tmp_path):
+        # at kappa = 2 MHz the calibrated drive is bistable and n_steady = 15
+        # sits on an upper branch; the 3 MHz point is on the lower branch
         path = write_config(
             tmp_path,
             {
                 "experiment": "kappa_sweep",
                 "params": {
-                    "chi": "0.2 MHz", "chi_prime": "0.1 MHz", "n_steady": 15, "tau": "200 ns"
+                    "chi": "-3 MHz", "chi_prime": "0.1 MHz", "n_steady": 15, "tau": "100 ns"
                 },
-                "grid": [{"name": "kappa", "start": "2 MHz", "stop": "5 MHz", "count": 3}],
+                "grid": [{"name": "kappa", "start": "2 MHz", "stop": "3 MHz", "count": 2}],
             },
         )
-        out = tmp_path / "kappa.csv"
-        assert run(path, out_path=str(out), fmt="csv") == 0
-        columns, rows = read_rows(out)
+        out = tmp_path / "kappa.json"
+        assert run(path, out_path=str(out), fmt="json") == 2
+        assert run(path, out_path=str(out), fmt="json", keep_going=True) == 0
+        doc = json.loads(out.read_text())
+        rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
         p = load_config(path)["params"]
-        cfg = ReadoutConfig(
-            kappa=p["kappa"], chi=p["chi"], chi_prime=p["chi_prime"], eta=p["eta"],
-            n_steady=p["n_steady"], t_end=p["tau"],
-        )
-        kappas = [float(r[0]) for r in rows]
-        lib = error_curve_sweep(cfg, "kappa", kappas, tau=p["tau"])
-        for row, want in zip(rows, lib):
-            got = dict(zip(columns, row))
-            assert want["failed"] == got["fail"] == ""
-            for key in ("snr", "error", "n_final"):
-                assert float(got[key]) == want[key]
+        cfgs = [
+            ReadoutConfig(
+                kappa=row["kappa"], chi=p["chi"], chi_prime=p["chi_prime"], eta=p["eta"],
+                n_steady=p["n_steady"], t_end=p["tau"],
+            )
+            for row in rows
+        ]
+        with pytest.raises(ConvergenceError, match="not on the lower branch") as exc:
+            calibrate_drive(cfgs[0])
+        assert "n = 9.03709" in str(exc.value)
+        assert rows[0] == {
+            "kappa": 2e6, "snr": None, "error": None, "n_final": None, "fail": str(exc.value)
+        }
+        want = read_at(integrate_trajectory(cfgs[1]), p["tau"])
+        assert rows[1] == {"kappa": 3e6, **want, "fail": ""}
 
     def test_dephasing_curve_matches_library(self, tmp_path):
         path = write_config(

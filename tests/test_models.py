@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from kerrqed.constants import TWO_PI
 from kerrqed.dephasing import DephasingParams, thermal_occupation
 from kerrqed.dispersive import mixed_shift_batch
-from kerrqed.errors import DegeneratePointError
 from kerrqed.models import (
     CptParams,
     MixedCouplingParams,
     build_cpt_hamiltonian,
     build_mixed_spin_boson,
     build_synthetic_dispersive,
-    cpt_island_hamiltonian,
     cpt_operators,
-    cpt_two_level_couplings,
 )
 from kerrqed.qspace import hermiticity_residual
 from kerrqed.readout import ReadoutConfig
@@ -157,7 +154,7 @@ class TestCpt:
     def test_island_qubit_frequency_scale(self):
         # Reference bias point: lowest island splitting in the few-GHz range.
         p = cpt(E_J1=9e9, E_J2=9e9, phi_ext=2.5786)
-        ei = np.sort(np.linalg.eigvalsh(cpt_island_hamiltonian(p)))
+        ei = np.sort(np.linalg.eigvalsh(cpt_operators(p).island(p.E_J_delta)))
         nu_q = (ei[1] - ei[0]) / TWO_PI
         assert 3e9 < nu_q < 7e9
 
@@ -209,9 +206,10 @@ def test_cpt_operator_split_matches_kron_formula(E_J_delta, E_C_delta, n_g, phi_
         phi_ext=phi_ext,
     )
     H, island = kron_cpt_oracle(p)
-    for got, ref in ((build_cpt_hamiltonian(p), H), (cpt_island_hamiltonian(p), island)):
+    ops = cpt_operators(p)
+    for got, ref in ((build_cpt_hamiltonian(p), H), (ops.island(p.E_J_delta), island)):
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
-    for M in cpt_operators(p):
+    for M in ops:
         assert np.array_equal(M, M.conj().T)
 
 
@@ -219,42 +217,6 @@ def test_hamiltonian_dtypes():
     assert build_mixed_spin_boson(mixed(50e6, 30e6)).dtype == np.float64
     assert build_synthetic_dispersive(2e6, -0.3e6, 8e9, 5e9, n_max=5).dtype == np.float64
     assert build_cpt_hamiltonian(cpt(E_J1=10e9, E_J2=8e9)).dtype == np.complex128
-
-
-class TestCptTwoLevel:
-    def test_degenerate_point(self):
-        with pytest.raises(DegeneratePointError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cpt_two_level_couplings(cpt(phi_ext=np.pi))
-
-    def test_charging_limit_warning(self):
-        with pytest.warns(UserWarning):
-            cpt_two_level_couplings(cpt(E_C1=2e9, E_C2=2e9))
-
-    def test_coefficients(self):
-        p = cpt(E_J1=10e9, E_J2=8e9, E_C1=12e9, E_C2=8e9, n_g=0.4, phi_ext=2.0)
-        c = cpt_two_level_couplings(p)
-        EJS, EJD = p.E_J_sigma, p.E_J_delta
-        z = -np.cos(1.0) + 1j * (EJD / EJS) * np.sin(1.0)
-        assert c.z == pytest.approx(z)
-        n_g_prime = 1 - 2 * p.n_g
-        m = p.E_C_sigma * n_g_prime / (2 * EJS)
-        assert c.m == pytest.approx(m)
-        eps = np.hypot(m, abs(z))
-        assert c.eps_island == pytest.approx(eps)
-        assert c.gX_eff == pytest.approx(p.E_C_delta * abs(z) / (2 * eps))
-        assert c.gP_eff == pytest.approx(EJD / abs(z))
-        names = [name for name, _ in c.extra_terms]
-        assert "delta sigma_z" in names and "delta^2 sigma_x" in names
-
-    def test_n_g_prime_override(self):
-        p = cpt(n_g=0.3, E_C1=10e9, E_C2=10e9)
-        default = cpt_two_level_couplings(p)
-        explicit = cpt_two_level_couplings(p, n_g_prime=1 - 2 * 0.3)
-        assert default.m == pytest.approx(explicit.m)
-        other = cpt_two_level_couplings(p, n_g_prime=0.0)
-        assert other.m == 0.0
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,7 @@ from kerrqed.ode import rk4
 from kerrqed.readout import (
     ReadoutConfig,
     calibrate_drive,
-    error_curve_sweep,
     integrate_trajectory,
-    output_field,
     rhs,
     snr_and_error,
     steady_state_amplitude,
@@ -288,35 +286,6 @@ class TestTrajectory:
         coarse = integrate_trajectory(cfg)
         fine = integrate_trajectory(config(dt=cfg.step / 2))
         assert fine.error[-1] == pytest.approx(coarse.error[-1], rel=0.01)
-
-    def test_output_field_relation(self):
-        traj = integrate_trajectory(config())
-        ka = 2 * math.pi * traj.kappa
-        out = output_field(traj, branch=0)
-        want = -traj.epsilon / np.sqrt(ka) + np.sqrt(ka) * traj.alpha0
-        assert np.allclose(out, want)
-
-
-class TestSweep:
-    def test_rows_and_order(self):
-        values = [2e6, 3e6, 4e6]
-        rows = error_curve_sweep(config(), "kappa", values, tau=400e-9)
-        assert [r["kappa"] for r in rows] == values
-        assert all(r["failed"] == "" for r in rows)
-        assert all(0 < r["error"] < 0.5 for r in rows)
-
-    def test_bad_sweep_param(self):
-        with pytest.raises(ValueError):
-            error_curve_sweep(config(), "eta", [0.5])
-
-    def test_failure_recorded_not_raised(self):
-        # dt fixed for kappa=3 MHz violates the step guard at much larger kappa
-        ka = 2 * math.pi * 3e6
-        cfg = config(dt=1.0 / (100.0 * ka))
-        rows = error_curve_sweep(cfg, "kappa", [3e6, 30e6], tau=400e-9)
-        assert rows[0]["failed"] == ""
-        assert rows[1]["failed"] != ""
-        assert rows[1]["error"] is None
 
 
 class TestRunaway:
