@@ -14,7 +14,7 @@ from .dephasing import (
     z_quadratic_analytic,
     z_trajectory,
 )
-from .diagnostics import OverlapScan, overlap_scan
+from .diagnostics import overlap_scan
 from .dispersive import (
     DressedSpectrum,
     ShiftReport,
@@ -73,7 +73,6 @@ __all__ = [
     "KerrqedError",
     "LabelingError",
     "MixedCouplingParams",
-    "OverlapScan",
     "ReadoutConfig",
     "ReadoutTrajectory",
     "ShiftReport",

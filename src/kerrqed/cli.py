@@ -192,7 +192,7 @@ def _rows_readout_sim(p):
 
 def _rows_overlap_scan(p):
     mp = MixedCouplingParams(p["nu_q"], p["nu_r"], p["g_X"], p["g_P"], p["n_max"])
-    scan = _overlap_scan(
+    rows = _overlap_scan(
         build_mixed_spin_boson(mp),
         mp.space(),
         q_list=list(p["q_list"]),
@@ -202,7 +202,7 @@ def _rows_overlap_scan(p):
         boson_freq=2.0 * np.pi * mp.nu_r,
     )
     columns = ("q", "q_prime", "n", "fidelity")
-    return columns, [tuple(r) for r in scan.rows]
+    return columns, rows
 
 
 class Experiment(NamedTuple):

@@ -9,7 +9,6 @@ other levels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +17,6 @@ from .errors import LabelingError
 from .qspace import Boson, HilbertSpace, eigendecompose, fidelity, reduced_state
 
 FIDELITY_JUMP_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class OverlapScan:
-    """rows: (q, q_prime, n, fidelity) with n ascending per (q, q_prime) pair."""
-
-    rows: tuple
-
-    def pair(self, q: int, q_prime: int):
-        """(n, fidelity) sequence for one label pair."""
-        return [(n, f) for (a, b, n, f) in self.rows if a == q and b == q_prime]
 
 
 def _reduced_qubit(ds: DressedSpectrum, q: int, n: int) -> np.ndarray:
@@ -43,8 +31,9 @@ def overlap_scan(
     n_max_scan: int,
     qubit_energies: np.ndarray,
     boson_freq: float,
-) -> OverlapScan:
-    """Fidelity of the reduced qubit state of |q', n> against that of |q, 0>.
+) -> tuple:
+    """Fidelity of the reduced qubit state of |q', n> against that of |q, 0>,
+    as rows (q, q_prime, n, fidelity) with n ascending per (q, q_prime) pair.
 
     The qubit is a SpinHalf factor; qubit_energies and boson_freq (rad/s)
     order the bare states for labeling.
@@ -92,4 +81,4 @@ def overlap_scan(
                     )
                 prev = f
                 rows.append((q, qp, n, f))
-    return OverlapScan(rows=tuple(rows))
+    return tuple(rows)

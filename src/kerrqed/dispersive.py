@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,11 +19,10 @@ from .models import (
     STRONG_COUPLING_WARNING,
     CptParams,
     MixedCouplingParams,
-    build_mixed_spin_boson,
     cpt_operators,
     strong_coupling,
 )
-from .qspace import Boson, EigenSystem, HilbertSpace, annihilation, eigendecompose, require_hermitian
+from .qspace import Boson, EigenSystem, HilbertSpace, annihilation, eigendecompose
 
 DEFAULT_OVERLAP_FLOOR = 0.5
 # Points per stacked solve in mixed_shift_batch; bounds the stack's memory on
@@ -167,63 +165,37 @@ def extract_shifts(ds: DressedSpectrum) -> ShiftReport:
     return ShiftReport(*_shift_values({label: ds.energy(*label) for label in SHIFT_LABELS}))
 
 
-@lru_cache(maxsize=16)
-def _coupling_blocks(n_max):
-    """The parity-block split of the mixed model at n_max, which does not
-    depend on nu_q, nu_r or the couplings.
-
-    Returns the parity of each full-basis row, the rows of each block, and
-    each block's (V_X, V_P) in rad/s per Hz of coupling, checked and
-    read-only.
-    """
-    # V_X and V_P do not depend on nu_q, nu_r: take them as exact differences
-    # at a far-detuned point, where a 1 Hz coupling never warns.
-    ref = [
-        build_mixed_spin_boson(MixedCouplingParams(1e9, 2e9, g_X, g_P, n_max))
-        for g_X, g_P in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    ]
-    dim = n_max + 1
-    _check_levels(2, 3, 2, dim)
-    parity = np.outer([1, -1], (-1) ** np.arange(dim)).ravel()
-    ops = {"V_X": ref[1] - ref[0], "V_P": ref[2] - ref[0]}
-    for name, M in ops.items():
-        _check_parity_blocks(M, parity, name)
-    rows = [np.flatnonzero(parity == s) for s in (1, -1)]
-    blocks = [tuple(M[np.ix_(r, r)] for M in ops.values()) for r in rows]
-    for a in (parity, *rows, *(M for block in blocks for M in block)):
-        a.setflags(write=False)
-    return parity, rows, blocks
-
-
-def _check_parity_blocks(M, parity, name):
-    require_hermitian(M, what=f"mixed-model {name}")
-    if np.any(M[parity[:, None] != parity[None, :]] != 0):
-        raise ValueError(f"mixed-model {name} couples the two parity blocks")
-
-
 def _mixed_blocks(nu_q, nu_r, n_max):
-    """The two parity blocks of the mixed model, H = H0 + g_X V_X + g_P V_P.
+    """The two parity blocks of the mixed model, H = H0 + g_X V_X + g_P V_P,
+    with V_X = 2 pi sigma_x (a + a+) and V_P = 2 pi (i sigma_y)(a+ - a).
 
     H commutes with sigma_z (-1)^(a+a).  Returns the full-basis rows of each
-    block and each block's (H0, V_X, V_P, bare), with V in rad/s per Hz of
-    coupling and bare the block's ((q, n), row within block) in visiting
-    order.
+    block, ascending, and each block's (H0, V_X, V_P, bare), with V in rad/s
+    per Hz of coupling and bare the block's ((q, n), row within block) in
+    visiting order.
     """
-    parity, rows, coupling = _coupling_blocks(n_max)
     MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max)  # rejects nu_q = nu_r and the like
+    dim = n_max + 1
+    _check_levels(2, 3, 2, dim)
+    a = annihilation(n_max)
+    V_X = TWO_PI * np.kron([[0.0, 1.0], [1.0, 0.0]], a.T + a)
+    V_P = TWO_PI * np.kron([[0.0, 1.0], [-1.0, 0.0]], a.T - a)
     # H0 is diagonal: its entries as build_mixed_spin_boson forms them, bitwise
     # (np.arange(dim) would not be, as sqrt(n)**2 != n)
-    dim = n_max + 1
-    a = annihilation(n_max)
     wq, wr = TWO_PI * nu_q, TWO_PI * nu_r
     H0 = 0.5 * wq * np.repeat([1.0, -1.0], dim) + wr * np.tile(np.diag(a.T @ a), 2)
+    parity = np.outer([1, -1], (-1) ** np.arange(dim)).ravel()
+    rows = [np.flatnonzero(parity == s) for s in (1, -1)]
     bare = ([], [])
     qubit_energies = np.array([-0.5 * nu_q, 0.5 * nu_q]) * TWO_PI
-    for q, n in _visiting_order(2, 3, qubit_energies, TWO_PI * nu_r):
+    for q, n in _visiting_order(2, 3, qubit_energies, wr):
         i = (1 - q) * dim + n  # |q=0> is sigma_z = -1, basis index 1
         b = 0 if parity[i] == 1 else 1
         bare[b].append(((q, n), int(np.searchsorted(rows[b], i))))
-    blocks = [(np.diag(H0[r]), *V, labels) for r, V, labels in zip(rows, coupling, bare)]
+    blocks = [
+        (np.diag(H0[r]), V_X[np.ix_(r, r)], V_P[np.ix_(r, r)], labels)
+        for r, labels in zip(rows, bare)
+    ]
     return rows, blocks
 
 

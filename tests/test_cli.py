@@ -331,6 +331,20 @@ class TestRun:
         _, rows = read_rows(out)
         assert [row[-1] for row in rows] == ["dispersive regime requires nu_q != nu_r"] * 2
 
+    def test_shift_sweep_n_max_1_fails_every_point(self, tmp_path):
+        # chi' needs the n = 2 levels: each cell records why, and the run exits 2
+        params = {"nu_q": "5 GHz", "nu_r": "8 GHz", "n_max": 1}
+        out = tmp_path / "out.csv"
+        assert main(["run", shift_config(tmp_path, count=2, params=params), "--out", str(out)]) == 2
+        _, rows = read_rows(out)
+        assert len(rows) == 4
+        for row in rows:
+            # the fail message holds commas, so read_rows splits it
+            assert row[2:4] == ["", ""]
+            assert ",".join(row[4:]) == (
+                "requested (q_levels=2, n_levels=3) exceeds factor dimensions (2, 2)"
+            )
+
     def test_warnings_reach_caller(self, tmp_path):
         # 1 MHz detuning: every coupling exceeds 10% of it
         path = write_config(

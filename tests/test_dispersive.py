@@ -11,6 +11,7 @@ from kerrqed.dispersive import (
     BATCH_CHUNK,
     CHI_ANALYTIC_TO_NUMERIC,
     CPT_CHUNK,
+    SHIFT_LABELS,
     _mixed_blocks,
     chi_analytic,
     chi_prime_noise_floor,
@@ -38,6 +39,7 @@ from kerrqed.qspace import (
     Boson,
     HilbertSpace,
     SpinHalf,
+    annihilation,
     eigendecompose,
 )
 
@@ -313,8 +315,8 @@ class TestRealMixedHamiltonian:
             p = mixed(g_X, g_P, nu_q=nu_q)
             tol = 1e3 * eps * np.linalg.norm(build_mixed_spin_boson(p), 2) / TWO_PI
             reports = []
-            for build in (build_mixed_spin_boson, lambda q: build_mixed_spin_boson(q).astype(complex)):
-                monkeypatch.setattr(kerrqed.dispersive, "build_mixed_spin_boson", build)
+            for ladder in (annihilation, lambda n: annihilation(n).astype(complex)):
+                monkeypatch.setattr(kerrqed.dispersive, "annihilation", ladder)
                 try:
                     reports.append(mixed_model_shifts(p))
                 except LabelingError:
@@ -427,13 +429,87 @@ class TestBatchedEngine:
     n_max=st.integers(2, 16),
 )
 def test_mixed_blocks_restrict_full_build(nu_q, nu_r, n_max):
-    # H0 from its diagonal is the full build's H0 restricted to each parity
-    # block, bitwise, and the full H0 has nothing off its diagonal
-    H0 = build_mixed_spin_boson(MixedCouplingParams(nu_q, nu_r, 0.0, 0.0, n_max))
+    # H0, V_X and V_P from their formulas are the full build's, as exact
+    # differences of builds at 1 Hz couplings, restricted to each parity
+    # block's rows in ascending order, bitwise; the full H0 has nothing off
+    # its diagonal, and at nonzero couplings the full H has nothing between
+    # the two blocks
+    build = lambda g_X, g_P: build_mixed_spin_boson(mixed(g_X, g_P, n_max, nu_q, nu_r))
+    H0 = build(0.0, 0.0)
     assert np.array_equal(H0, np.diag(np.diag(H0)))
+    V_X, V_P = build(1.0, 0.0) - H0, build(0.0, 1.0) - H0
+    parity = np.kron([1, -1], (-1) ** np.arange(n_max + 1))
+    assert np.all(build(40e6, -70e6)[parity[:, None] != parity[None, :]] == 0.0)
     rows, blocks = _mixed_blocks(nu_q, nu_r, n_max)
-    for r, (block_H0, *_) in zip(rows, blocks, strict=True):
-        assert np.array_equal(block_H0, H0[np.ix_(r, r)])
+    for r, s, block in zip(rows, (1, -1), blocks, strict=True):
+        assert np.array_equal(r, np.flatnonzero(parity == s))
+        for M, full in zip(block[:3], (H0, V_X, V_P), strict=True):
+            assert np.array_equal(M, full[np.ix_(r, r)])
+            assert np.array_equal(M, M.T)
+
+
+def test_n_max_1_lacks_the_n_2_labels():
+    # chi' reads the n = 2 levels, so both paths refuse n_max = 1 alike
+    message = "requested (q_levels=2, n_levels=3) exceeds factor dimensions (2, 2)"
+    with pytest.raises(LabelingError) as batch:
+        mixed_shift_batch(5e9, 8e9, 1, [10e6], [20e6])
+    with pytest.raises(LabelingError) as point:
+        mixed_model_shifts(mixed(10e6, 20e6, n_max=1))
+    assert str(batch.value) == str(point.value) == message
+
+
+# The dispersive box of the perturbative checks: nu_q 3-10 GHz, nu_r 4-9 GHz,
+# |Delta| >= 0.5 GHz, g_e / |Delta| <= 0.16 with g_e = |g_X| + |g_P| split by
+# share, either sign of each coupling.  Never narrow it.
+DISPERSIVE_BOX = dict(
+    nu_q=st.floats(3e9, 10e9),
+    nu_r=st.floats(4e9, 9e9),
+    ratio=st.floats(0.0, 0.16),
+    share=st.floats(0.0, 1.0),
+    sign_X=st.sampled_from([1.0, -1.0]),
+    sign_P=st.sampled_from([1.0, -1.0]),
+)
+
+
+def box_point(nu_q, nu_r, ratio, share, sign_X, sign_P):
+    """The n_max = 10 params of a DISPERSIVE_BOX draw, and the bound
+    40 g_e^6 / |Delta|^5 + 100 eps ||H||_2 / 2 pi on its sixth-order rest."""
+    detuning = abs(nu_q - nu_r)
+    assume(detuning >= 0.5e9)
+    g_X, g_P = sign_X * share * ratio * detuning, sign_P * (1 - share) * ratio * detuning
+    p = mixed(g_X, g_P, nu_q=nu_q, nu_r=nu_r)
+    round_off = 100 * np.finfo(float).eps * np.linalg.norm(build_mixed_spin_boson(p), 2) / TWO_PI
+    g_e = abs(g_X) + abs(g_P)
+    return p, 40 * g_e**6 / detuning**5 + round_off
+
+
+def pt4_shifts(p):
+    """chi and chi' (Hz) of fourth-order Rayleigh-Schroedinger perturbation
+    theory on the bare basis, with no truncation error.
+
+    H = H0 + V with H0 the diagonal of the full build and V the rest.  For
+    bare state k, with D_m = E_k - E_m and sums over states other than k,
+    E2 = sum |V_mk|^2 / D_m and
+    E4 = sum V_km V_ml V_lj V_jk / (D_m D_l D_j) - E2 sum |V_mk|^2 / D_m^2;
+    E1 = E3 = 0, as V flips the qubit.  A fourth-order path moves at most
+    two photons, so n_max = 4 holds every path from n <= 2.  The bare
+    energies cancel from chi and chi', so only E2 + E4 enters.
+    """
+    n_max = 4
+    H = build_mixed_spin_boson(mixed(p.g_X, p.g_P, n_max, p.nu_q, p.nu_r))
+    E0 = np.diag(H)
+    V = H - np.diag(E0)
+    E = {}
+    for q, n in SHIFT_LABELS:
+        k = (1 - q) * (n_max + 1) + n  # |q=0> is sigma_z = -1, basis index 1
+        others = np.arange(E0.size) != k
+        inv_D = np.divide(1.0, E0[k] - E0, out=np.zeros_like(E0), where=others)
+        w = V[:, k] * inv_D  # V_mk / D_m
+        E2 = V[k] @ w
+        E[(q, n)] = E2 + w @ V @ (inv_D * (V @ w)) - E2 * (w @ w)
+    chi = ((E[(1, 1)] - E[(1, 0)]) - (E[(0, 1)] - E[(0, 0)])) / (2 * TWO_PI)
+    K_r0, K_r1 = ((E[(q, 2)] - 2 * E[(q, 1)] + E[(q, 0)]) / TWO_PI for q in (0, 1))
+    return chi, (K_r1 - K_r0) / 4
 
 
 class TestAnalyticFormulas:
@@ -467,14 +543,7 @@ class TestAnalyticFormulas:
 
     @seed(20261026)
     @settings(max_examples=500, deadline=None, database=None)
-    @given(
-        nu_q=st.floats(3e9, 10e9),
-        nu_r=st.floats(4e9, 9e9),
-        ratio=st.floats(0.0, 0.16),
-        share=st.floats(0.0, 1.0),
-        sign_X=st.sampled_from([1.0, -1.0]),
-        sign_P=st.sampled_from([1.0, -1.0]),
-    )
+    @given(**DISPERSIVE_BOX)
     @example(nu_q=10e9, nu_r=4e9, ratio=0.01, share=0.0, sign_X=1.0, sign_P=1.0)
     def test_fourth_order_identity(self, nu_q, nu_r, ratio, share, sign_X, sign_P):
         # chi = -2 chi_analytic + 2 chi' + O(g_e^6 / |Delta|^5), g_e = |g_X| + |g_P|,
@@ -482,15 +551,25 @@ class TestAnalyticFormulas:
         # constant peaks at 31.5 in this box, for one coupling as g_e -> 0 at
         # the corner nu_q = 10 GHz, nu_r = 4 GHz (the example); the seeded
         # draws fit at most 30.2.
-        detuning = abs(nu_q - nu_r)
-        assume(detuning >= 0.5e9)
-        g_X, g_P = sign_X * share * ratio * detuning, sign_P * (1 - share) * ratio * detuning
-        p = mixed(g_X, g_P, nu_q=nu_q, nu_r=nu_r)
+        p, bound = box_point(nu_q, nu_r, ratio, share, sign_X, sign_P)
         rep = mixed_model_shifts(p)
         rest = rep.chi - (CHI_ANALYTIC_TO_NUMERIC * chi_analytic(p) + 2 * rep.chi_prime)
-        round_off = 100 * np.finfo(float).eps * np.linalg.norm(build_mixed_spin_boson(p), 2) / TWO_PI
-        g_e = abs(g_X) + abs(g_P)
-        assert abs(rest) <= 40 * g_e**6 / detuning**5 + round_off
+        assert abs(rest) <= bound
+
+    @seed(20261027)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(**DISPERSIVE_BOX)
+    @example(nu_q=9.75e9, nu_r=4.25e9, ratio=0.02, share=0.0, sign_X=1.0, sign_P=1.0)
+    def test_fourth_order_perturbation_theory(self, nu_q, nu_r, ratio, share, sign_X, sign_P):
+        # exact diagonalization at n_max = 10 gives chi and chi' of fourth-order
+        # perturbation theory up to O(g_e^6 / |Delta|^5).  The constant peaks
+        # near 23.5 for chi' on a dense grid of this box, at nu_q = 9.75 GHz,
+        # nu_r = 4.25 GHz with g_P = 110 MHz alone (the example).
+        p, bound = box_point(nu_q, nu_r, ratio, share, sign_X, sign_P)
+        rep = mixed_model_shifts(p)
+        chi, chi_prime = pt4_shifts(p)
+        assert abs(rep.chi - chi) <= bound
+        assert abs(rep.chi_prime - chi_prime) <= bound
 
 
 class TestNoiseFloor:
