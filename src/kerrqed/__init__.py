@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .dephasing import (
     DephasingParams,
     DephasingResult,
-    dephasing_curve,
     gamma_linear,
     gamma_nonlinear_analytic,
     gamma_ode,
@@ -14,7 +13,6 @@ from .dephasing import (
     z_quadratic_analytic,
     z_trajectory,
 )
-from .diagnostics import overlap_scan
 from .dispersive import (
     DressedSpectrum,
     ShiftReport,
@@ -29,6 +27,7 @@ from .dispersive import (
     mixed_model_spectrum,
     mixed_shift_batch,
     mixed_shift_grid,
+    overlap_scan,
 )
 from .errors import (
     ConvergenceError,
@@ -49,7 +48,6 @@ from .qspace import (
     HilbertSpace,
     SpinHalf,
     eigendecompose,
-    fidelity,
 )
 from .readout import (
     ReadoutConfig,
@@ -86,10 +84,8 @@ __all__ = [
     "cpt_shift_batch",
     "cpt_shifts",
     "cpt_spectrum",
-    "dephasing_curve",
     "eigendecompose",
     "extract_shifts",
-    "fidelity",
     "gamma_linear",
     "gamma_nonlinear_analytic",
     "gamma_ode",

@@ -36,10 +36,9 @@ import numpy as np
 
 from . import __version__
 from .dephasing import DephasingParams, gamma_closed_form, thermal_occupation
-from .dispersive import cpt_shift_batch, mixed_shift_batch
-from .diagnostics import overlap_scan as _overlap_scan
+from .dispersive import cpt_shift_batch, mixed_shift_batch, overlap_scan
 from .errors import KerrqedError
-from .models import MixedCouplingParams, build_mixed_spin_boson
+from .models import MixedCouplingParams
 from .readout import ReadoutConfig, integrate_trajectory, read_at
 from .sweep import batch, grid
 from .units import UnitError, parse_quantity
@@ -192,17 +191,9 @@ def _rows_readout_sim(p):
 
 def _rows_overlap_scan(p):
     mp = MixedCouplingParams(p["nu_q"], p["nu_r"], p["g_X"], p["g_P"], p["n_max"])
-    rows = _overlap_scan(
-        build_mixed_spin_boson(mp),
-        mp.space(),
-        q_list=list(p["q_list"]),
-        q_prime_list=list(p["q_prime_list"]),
-        n_max_scan=p["n_max_scan"],
-        qubit_energies=np.array([-0.5 * mp.nu_q, 0.5 * mp.nu_q]) * 2.0 * np.pi,
-        boson_freq=2.0 * np.pi * mp.nu_r,
+    return ("q", "q_prime", "n", "fidelity"), overlap_scan(
+        mp, p["q_list"], p["q_prime_list"], p["n_max_scan"]
     )
-    columns = ("q", "q_prime", "n", "fidelity")
-    return columns, rows
 
 
 class Experiment(NamedTuple):

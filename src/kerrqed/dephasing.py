@@ -175,24 +175,3 @@ def gamma_closed_form(p: DephasingParams, combine: bool = True) -> DephasingResu
     else:
         gamma = g_nl if p.chi == 0.0 else g_lin
     return DephasingResult(gamma)
-
-
-def dephasing_curve(
-    chi: float,
-    chi_prime: float,
-    kappa: float,
-    nu_r: float,
-    T_range,
-    combine: bool = True,
-):
-    """(T, T_phi) rows for a temperature sweep of gamma_closed_form."""
-    T_vals = list(T_range)
-    if any(t <= 0 for t in T_vals) or any(b < a for a, b in zip(T_vals, T_vals[1:])):
-        raise ValueError("temperatures must be positive and ascending")
-    rows = []
-    for T in T_vals:
-        params = DephasingParams(
-            kappa=kappa, chi=chi, chi_prime=chi_prime, n_th=thermal_occupation(nu_r, T)
-        )
-        rows.append((T, gamma_closed_form(params, combine).t_phi))
-    return rows

@@ -3,7 +3,9 @@
 The dressed label q orders bare qubit levels by energy (q = 0 is the bare
 ground state).  chi is defined from the n = 0 -> 1 dressed resonator
 transition; K_r is the conditioned second difference E(q,2) - 2E(q,1) +
-E(q,0) and chi' = (K_r1 - K_r0)/4.
+E(q,0) and chi' = (K_r1 - K_r0)/4.  overlap_scan checks the dispersive
+regime: how far the qubit of |q', n> drifts from that of |q, 0> with photon
+number n.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ CPT_CHUNK = 32
 SHIFT_LABELS = tuple((q, n) for q in (0, 1) for n in (0, 1, 2))
 # A CPT point labels the bare states (q, n) with q, n < CPT_LEVELS.
 CPT_LEVELS = 3
+# overlap_scan warns where a pair's fidelity moves more than this between
+# neighbouring photon numbers.
+FIDELITY_JUMP_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -247,10 +252,11 @@ def mixed_shift_batch(nu_q, nu_r, n_max, g_X, g_P):
     return chi, chi_prime, errors
 
 
-def mixed_model_spectrum(p: MixedCouplingParams) -> DressedSpectrum:
-    """Label (q, n) for q < 2, n < 3 of the minimal mixed model: the parity
-    blocks are solved as in mixed_shift_batch, their eigenvectors scattered
-    back into the full basis with energies ascending, and labeled there."""
+def _mixed_spectrum(p: MixedCouplingParams, n_levels: int) -> DressedSpectrum:
+    """Label (q, n) for q < 2, n < n_levels of the minimal mixed model: the
+    parity blocks are solved as in mixed_shift_batch, their eigenvectors
+    scattered back into the full basis with energies ascending, and labeled
+    there."""
     rows, blocks = _mixed_blocks(p.nu_q, p.nu_r, p.n_max)
     eig = [np.linalg.eigh(H0 + p.g_X * V_X + p.g_P * V_P) for H0, V_X, V_P, _ in blocks]
     dim = p.n_max + 1
@@ -261,7 +267,12 @@ def mixed_model_spectrum(p: MixedCouplingParams) -> DressedSpectrum:
     ascending = np.argsort(energies, kind="stable")
     es = EigenSystem(energies[ascending], vectors[:, ascending])
     qubit_energies = np.array([-0.5 * p.nu_q, 0.5 * p.nu_q]) * TWO_PI
-    return label_dressed_states(es, p.space(), 2, 3, qubit_energies, TWO_PI * p.nu_r)
+    return label_dressed_states(es, p.space(), 2, n_levels, qubit_energies, TWO_PI * p.nu_r)
+
+
+def mixed_model_spectrum(p: MixedCouplingParams) -> DressedSpectrum:
+    """Label (q, n) for q < 2, n < 3 of the minimal mixed model."""
+    return _mixed_spectrum(p, 3)
 
 
 def mixed_model_shifts(p: MixedCouplingParams) -> ShiftReport:
@@ -274,6 +285,56 @@ def chi_prime_noise_floor(p: MixedCouplingParams) -> float:
     p2 = MixedCouplingParams(p.nu_q, p.nu_r, p.g_X, p.g_P, p.n_max + 5)
     r2 = mixed_model_shifts(p2)
     return abs(r2.chi_prime - r1.chi_prime)
+
+
+def overlap_scan(p: MixedCouplingParams, q_list, q_prime_list, n_max_scan: int) -> tuple:
+    """Fidelity of the reduced qubit state of |q', n> against that of |q, 0>
+    in the mixed model, as rows (q, q_prime, n, fidelity) with n ascending
+    per (q, q_prime) pair; q and q' are 0 or 1.
+
+    Each parity-block eigenvector lives on |up, n even> and |down, n odd>
+    or on the reverse, so its reduced qubit state is diag(w_up, w_down) and
+    the Uhlmann fidelity of two of them is (sum of sqrt(w w'))^2.
+
+    Requires at least 5 guard Fock levels above n_max_scan so truncation
+    artifacts stay out of the scanned range.
+    """
+    if n_max_scan > p.n_max - 5:
+        raise ValueError(
+            f"n_max_scan = {n_max_scan} exceeds n_max - 5 = {p.n_max - 5}; add guard levels"
+        )
+    if n_max_scan < 0:
+        raise ValueError("n_max_scan must be >= 0")
+    q_all = sorted(set(q_list) | set(q_prime_list))
+    bad = [q for q in q_all if q not in (0, 1)]
+    if bad:
+        raise ValueError(f"qubit labels must be 0 or 1, got {bad}")
+    ds = _mixed_spectrum(p, n_max_scan + 1)
+    for q in q_all:
+        for n in range(n_max_scan + 1):
+            if (q, n) not in ds.labels:
+                raise LabelingError(
+                    f"dressed state (q={q}, n={n}) unlabeled within the scan range"
+                )
+    # per label, the (up, down) diagonal of the reduced qubit state
+    weights = {
+        label: (np.abs(ds.vector(*label).reshape(2, -1)) ** 2).sum(axis=1) for label in ds.labels
+    }
+    rows = []
+    for q in q_list:
+        for qp in q_prime_list:
+            prev = None
+            for n in range(n_max_scan + 1):
+                f = min(float(np.sqrt(weights[(q, 0)] * weights[(qp, n)]).sum() ** 2), 1.0)
+                if prev is not None and abs(f - prev) > FIDELITY_JUMP_THRESHOLD:
+                    warnings.warn(
+                        f"fidelity jump of {abs(f - prev):.2f} between n={n - 1} and n={n} "
+                        f"for pair (q={q}, q'={qp}): possible labeling failure",
+                        stacklevel=2,
+                    )
+                prev = f
+                rows.append((q, qp, n, f))
+    return tuple(rows)
 
 
 def mixed_shift_grid(nu_q, nu_r, g_X_values, g_P_values, n_max):

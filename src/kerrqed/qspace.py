@@ -130,45 +130,3 @@ def eigendecompose(H: np.ndarray) -> EigenSystem:
     require_hermitian(H, what="eigendecompose input")
     energies, vectors = np.linalg.eigh(H)
     return EigenSystem(energies=energies, vectors=vectors)
-
-
-def reduced_state(vector: np.ndarray, space: HilbertSpace, keep_index: int) -> np.ndarray:
-    """Partial trace of |v><v| keeping a single factor."""
-    v = np.asarray(vector, dtype=complex).ravel()
-    if v.size != space.dim:
-        raise ValueError(f"vector length {v.size} does not match space dimension {space.dim}")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-    dims = space.factor_dims()
-    psi = v.reshape(dims)
-    psi = np.moveaxis(psi, keep_index, 0).reshape(dims[keep_index], -1)
-    return psi @ psi.conj().T
-
-
-def require_density_matrix(rho: np.ndarray, what: str = "density matrix"):
-    require_hermitian(rho, rtol=1e-10, what=what)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"{what} trace {tr} deviates from 1 beyond 1e-10")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if evals.min() < -1e-10:
-        raise ValueError(f"{what} has negative eigenvalue {evals.min():.3e}")
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
-
-
-def fidelity(rho1, rho2) -> float:
-    """Uhlmann fidelity F = (tr sqrt(sqrt(r1) r2 sqrt(r1)))^2."""
-    m1 = np.asarray(rho1, dtype=complex)
-    m2 = np.asarray(rho2, dtype=complex)
-    require_density_matrix(m1, "first density matrix")
-    require_density_matrix(m2, "second density matrix")
-    s1 = _psd_sqrt(m1)
-    inner = _psd_sqrt(s1 @ m2 @ s1)
-    f = float(np.trace(inner).real ** 2)
-    return min(max(f, 0.0), 1.0)

@@ -19,7 +19,7 @@ from kerrqed.cli import (
     write_json,
 )
 from kerrqed.constants import TWO_PI
-from kerrqed.dephasing import dephasing_curve
+from kerrqed.dephasing import DephasingParams, gamma_closed_form, thermal_occupation
 from kerrqed.dispersive import cpt_shifts, mixed_model_shifts
 from kerrqed.errors import ConvergenceError, LabelingError
 from kerrqed.models import CptParams, MixedCouplingParams, build_cpt_hamiltonian
@@ -345,6 +345,22 @@ class TestRun:
                 "requested (q_levels=2, n_levels=3) exceeds factor dimensions (2, 2)"
             )
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"n_max_scan": 6}, "n_max_scan = 6 exceeds n_max - 5 = 5; add guard levels"),
+            ({"q_list": [-1]}, "qubit labels must be 0 or 1, got [-1]"),
+            ({"q_prime_list": [0, 2]}, "qubit labels must be 0 or 1, got [2]"),
+        ],
+    )
+    def test_overlap_scan_input_errors_fill_fail_cell(self, tmp_path, extra, message):
+        params = {"nu_q": "5 GHz", "nu_r": "8 GHz", "g_X": "50 MHz", "n_max": 10, "n_max_scan": 3}
+        path = write_config(tmp_path, {"experiment": "overlap_scan", "params": {**params, **extra}})
+        out = tmp_path / "scan.json"
+        assert main(["run", path, "--out", str(out), "--format", "json"]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["columns"] == ["fail"] and doc["rows"] == [[message]]
+
     def test_warnings_reach_caller(self, tmp_path):
         # 1 MHz detuning: every coupling exceeds 10% of it
         path = write_config(
@@ -454,10 +470,13 @@ class TestLibraryAgreement:
         assert run(path, out_path=str(out), fmt="csv") == 0
         columns, rows = read_rows(out)
         p = load_config(path)["params"]
-        temps = [float(r[0]) for r in rows]
-        lib = dephasing_curve(p["chi"], p["chi_prime"], p["kappa"], p["nu_r"], temps)
-        t_phi = columns.index("T_phi_s")
-        assert [float(r[t_phi]) for r in rows] == [t for _, t in lib]
+        for row in rows:
+            T = float(row[0])
+            n_th = thermal_occupation(p["nu_r"], T)
+            res = gamma_closed_form(
+                DephasingParams(kappa=p["kappa"], chi=p["chi"], chi_prime=p["chi_prime"], n_th=n_th)
+            )
+            assert row[1:] == [repr(n_th), repr(res.gamma), repr(res.t_phi), ""]
 
 
 class TestMain:

@@ -6,7 +6,7 @@ import pytest
 from kerrqed.dephasing import (
     DephasingParams,
     ZTrajectory,
-    dephasing_curve,
+    gamma_closed_form,
     gamma_from_Z,
     gamma_linear,
     gamma_nonlinear_analytic,
@@ -132,25 +132,25 @@ class TestZOde:
         assert traj.Z[0] == 0 and abs(traj.Z[-1].imag) > 0
 
 
+def t_phi_at(chi, chi_prime, T, combine=True):
+    """T_phi of gamma_closed_form at kappa = 3 MHz and nu_r = 7 GHz, as the
+    CLI dephasing_curve evaluates one temperature."""
+    p = DephasingParams(
+        kappa=3e6, chi=chi, chi_prime=chi_prime, n_th=thermal_occupation(7e9, T)
+    )
+    return gamma_closed_form(p, combine).t_phi
+
+
 class TestCurve:
     def test_monotone_decreasing_t_phi(self):
-        rows = dephasing_curve(0.0, 1e6, 3e6, 7e9, np.linspace(0.02, 0.2, 10))
-        t_phis = [t for _, t in rows]
+        t_phis = [t_phi_at(0.0, 1e6, T) for T in np.linspace(0.02, 0.2, 10)]
         assert all(a > b for a, b in zip(t_phis, t_phis[1:]))
 
     def test_zero_coupling_infinite(self):
-        rows = dephasing_curve(0.0, 0.0, 3e6, 7e9, [0.05])
-        assert rows[0][1] == math.inf
+        assert t_phi_at(0.0, 0.0, 0.05) == math.inf
 
     def test_combine_sums_rates(self):
-        T = [0.05]
-        both = dephasing_curve(1e6, 1e6, 3e6, 7e9, T, combine=True)[0][1]
-        nl_only = dephasing_curve(0.0, 1e6, 3e6, 7e9, T, combine=False)[0][1]
-        lin_only = dephasing_curve(1e6, 1e6, 3e6, 7e9, T, combine=False)[0][1]
+        both = t_phi_at(1e6, 1e6, 0.05, combine=True)
+        nl_only = t_phi_at(0.0, 1e6, 0.05, combine=False)
+        lin_only = t_phi_at(1e6, 1e6, 0.05, combine=False)
         assert 1 / both == pytest.approx(1 / nl_only + 1 / lin_only, rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dephasing_curve(0.0, 1e6, 3e6, 7e9, [0.1, 0.05])
-        with pytest.raises(ValueError):
-            dephasing_curve(0.0, 1e6, 3e6, 7e9, [-0.1])

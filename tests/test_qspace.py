@@ -9,21 +9,12 @@ from kerrqed.qspace import (
     SpinHalf,
     annihilation,
     eigendecompose,
-    fidelity,
     hermiticity_residual,
     pauli,
-    reduced_state,
-    require_density_matrix,
     require_hermitian,
 )
 
 rng = np.random.default_rng(20260824)
-
-
-def random_density(dim):
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = A @ A.conj().T
-    return rho / np.trace(rho).real
 
 
 def test_factor_dimensions():
@@ -83,57 +74,3 @@ def test_eigendecompose_reconstruction():
     rebuilt = (es.vectors * es.energies) @ es.vectors.conj().T
     assert np.allclose(rebuilt, H, atol=1e-10)
 
-
-def test_reduced_state_product():
-    space = HilbertSpace((SpinHalf(), Boson(2)))
-    qubit = np.array([1.0, 1.0]) / np.sqrt(2)
-    fock = np.array([0.0, 1.0, 0.0])
-    v = np.kron(qubit, fock)
-    rho = reduced_state(v, space, 0)
-    assert np.allclose(rho, np.outer(qubit, qubit))
-    purity = np.trace(rho @ rho).real
-    assert purity == pytest.approx(1.0, abs=1e-12)
-
-
-def test_reduced_state_entangled():
-    space = HilbertSpace((SpinHalf(), Boson(1)))
-    v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    rho = reduced_state(v, space, 0)
-    assert np.allclose(rho, np.eye(2) / 2)
-
-
-def test_reduced_state_requires_normalization():
-    space = HilbertSpace((SpinHalf(), Boson(1)))
-    with pytest.raises(ValueError):
-        reduced_state(np.ones(4), space, 0)
-
-
-def test_require_density_matrix():
-    require_density_matrix(np.eye(3) / 3)
-    with pytest.raises(ValueError):
-        require_density_matrix(np.eye(3))
-
-
-def test_fidelity_basic():
-    rho = random_density(4)
-    assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    assert fidelity(p0, p1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fidelity_symmetric():
-    for _ in range(5):
-        r1, r2 = random_density(3), random_density(3)
-        assert fidelity(r1, r2) == pytest.approx(fidelity(r2, r1), abs=1e-10)
-        assert 0.0 <= fidelity(r1, r2) <= 1.0
-
-
-def test_fidelity_pure_states():
-    # for pure states F = |<a|b>|^2
-    a = rng.normal(size=3) + 1j * rng.normal(size=3)
-    b = rng.normal(size=3) + 1j * rng.normal(size=3)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    f = fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
-    assert f == pytest.approx(abs(a.conj() @ b) ** 2, abs=1e-6)
