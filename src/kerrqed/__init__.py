@@ -20,7 +20,6 @@ from .dispersive import (
     chi_zero_gp,
     cpt_shift_batch,
     cpt_shifts,
-    cpt_spectrum,
     extract_shifts,
     label_dressed_states,
     mixed_model_shifts,
@@ -83,7 +82,6 @@ __all__ = [
     "chi_zero_gp",
     "cpt_shift_batch",
     "cpt_shifts",
-    "cpt_spectrum",
     "eigendecompose",
     "extract_shifts",
     "gamma_linear",

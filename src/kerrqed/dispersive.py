@@ -24,7 +24,7 @@ from .models import (
     cpt_operators,
     strong_coupling,
 )
-from .qspace import Boson, EigenSystem, HilbertSpace, annihilation, eigendecompose
+from .qspace import Boson, EigenSystem, HilbertSpace, annihilation
 
 DEFAULT_OVERLAP_FLOOR = 0.5
 # Points per stacked solve in mixed_shift_batch; bounds the stack's memory on
@@ -54,7 +54,6 @@ class DressedSpectrum:
     labels: dict
     unassigned: tuple
     eigensystem: EigenSystem
-    space: HilbertSpace
 
     def energy(self, q: int, n: int) -> float:
         try:
@@ -152,7 +151,7 @@ def label_dressed_states(
         if ok
     }
     unassigned = tuple(dict.fromkeys(int(k) for k in index[~labeled]))
-    return DressedSpectrum(labels=labels, unassigned=unassigned, eigensystem=es, space=space)
+    return DressedSpectrum(labels=labels, unassigned=unassigned, eigensystem=es)
 
 
 def _shift_values(E):
@@ -351,25 +350,48 @@ def mixed_shift_grid(nu_q, nu_r, g_X_values, g_P_values, n_max):
     return chi.reshape(shape), chi_prime.reshape(shape)
 
 
-def cpt_spectrum(p: CptParams) -> DressedSpectrum:
-    """Diagonalize the full CPT model and label (q, n) for q < 3, n < 3;
-    the bare qubit basis is the island eigenstates."""
-    ops = cpt_operators(p)
-    es = eigendecompose(ops.hamiltonian(p.E_J_delta, p.E_C_delta))
-    ei, vi = np.linalg.eigh(ops.island(p.E_J_delta))
-    return label_dressed_states(
-        es,
-        p.space(),
-        q_levels=CPT_LEVELS,
-        n_levels=CPT_LEVELS,
-        qubit_energies=ei,
-        boson_freq=TWO_PI * p.nu_r_bare,
-        qubit_vectors=vi,
+def _cpt_solve(ops, params):
+    """(chi, chi_prime, errors) as mixed_shift_batch returns them, of valid
+    CptParams params whose Hamiltonians all come from the operator split ops."""
+    H = np.empty_like(ops.H0)
+    L, dim = CPT_LEVELS, H.shape[0]
+    dq, db = params[0].space().factor_dims()
+    # rows |charge, n < L> of an eigenvector, charge-major
+    rows = (np.arange(dq)[:, None] * db + np.arange(L)).ravel()
+    boson_n = TWO_PI * params[0].nu_r_bare * np.arange(L)
+    ejd = np.array([p.E_J_delta for p in params])
+    ei, vi = np.linalg.eigh(ops.island(ejd[:, None, None]))
+    bare = vi[:, :, :L].conj().transpose(0, 2, 1)
+    energies = np.empty((len(params), dim))
+    overlaps = np.empty((len(params), L * L, dim))
+    for c, p in enumerate(params):
+        energies[c], v = np.linalg.eigh(ops.hamiltonian(p.E_J_delta, p.E_C_delta, out=H))
+        overlaps[c] = (np.abs(bare[c] @ v[rows].reshape(dq, -1)) ** 2).reshape(L * L, dim)
+        del v  # kept alive, glibc re-faults eigh's work buffers at every other point
+    # each point visits its bare states (q, n) in ascending bare energy,
+    # ties in (q, n) order as _visiting_order breaks them
+    order = np.argsort((ei[:, :L, None] + boson_n).reshape(-1, L * L), axis=1, kind="stable")
+    k, _, labeled = _greedy(
+        np.take_along_axis(overlaps, order[:, :, None], axis=1), DEFAULT_OVERLAP_FLOOR
     )
+    # back to (q, n) order: column j of the visit is bare state order[:, j]
+    place = np.argsort(order, axis=1)
+    k, labeled = (np.take_along_axis(a, place, axis=1) for a in (k, labeled))
+    e = np.take_along_axis(energies, k, axis=1)
+    E = {(q, n): e[:, L * q + n] for q, n in SHIFT_LABELS}
+    found = {(q, n): labeled[:, L * q + n] for q, n in SHIFT_LABELS}
+    chi, chi_prime, errors = np.empty(len(params)), np.empty(len(params)), [None] * len(params)
+    _store_shifts(E, found, np.arange(len(params)), chi, chi_prime, errors)
+    return chi, chi_prime, errors
 
 
 def cpt_shifts(p: CptParams) -> ShiftReport:
-    return extract_shifts(cpt_spectrum(p))
+    """chi and chi' (Hz) of the CPT at p: the solve of cpt_shift_batch on one
+    point, raising its LabelingError."""
+    (chi,), (chi_prime,), (exc,) = _cpt_solve(cpt_operators(p), [p])
+    if exc is not None:
+        raise exc
+    return ShiftReport(float(chi), float(chi_prime))
 
 
 def _cpt_params(base, E_J_delta, E_C_delta):
@@ -396,57 +418,29 @@ def cpt_shift_batch(base, E_J_delta, E_C_delta):
     n_charge_max and n_fock to their values; other keys are ignored.
     E_J_delta and E_C_delta broadcast against each other and are read
     flattened.  Returns (chi, chi_prime, errors) as mixed_shift_batch does,
-    with the ValueError of CptParams for an invalid point.  Each point is
-    labeled as cpt_spectrum labels it; every H comes from one operator split,
-    built at the first valid point (the split reads no asymmetry).
+    with the ValueError of CptParams for an invalid point.  The valid points
+    are solved as cpt_shifts solves one, CPT_CHUNK at a time, from one
+    operator split built at the first of them (the split reads no asymmetry).
     """
-    E_J_delta, E_C_delta = np.broadcast_arrays(
-        np.asarray(E_J_delta, float), np.asarray(E_C_delta, float)
-    )
-    E_J_delta, E_C_delta = E_J_delta.ravel().tolist(), E_C_delta.ravel().tolist()
+    deltas = np.broadcast_arrays(np.asarray(E_J_delta, float), np.asarray(E_C_delta, float))
+    E_J_delta, E_C_delta = (a.ravel().tolist() for a in deltas)
     size = len(E_J_delta)
     chi, chi_prime = np.full(size, np.nan), np.full(size, np.nan)
     errors = [None] * size
-    ops = None
-    for start in range(0, size, CPT_CHUNK):
-        points, params = [], []
-        for i in range(start, min(start + CPT_CHUNK, size)):
-            try:
-                params.append(_cpt_params(base, E_J_delta[i], E_C_delta[i]))
-                points.append(i)
-            except ValueError as exc:
-                errors[i] = exc
-        if not params:
-            continue
-        if ops is None:
-            ops = cpt_operators(params[0])
-        H = np.empty_like(ops.H0)
-        L, dim = CPT_LEVELS, H.shape[0]
-        dq, db = params[0].space().factor_dims()
-        # rows |charge, n < L> of an eigenvector, charge-major
-        rows = (np.arange(dq)[:, None] * db + np.arange(L)).ravel()
-        boson_n = TWO_PI * params[0].nu_r_bare * np.arange(L)
-        ejd = np.array([p.E_J_delta for p in params])
-        ei, vi = np.linalg.eigh(ops.island(ejd[:, None, None]))
-        bare = vi[:, :, :L].conj().transpose(0, 2, 1)
-        energies = np.empty((len(params), dim))
-        overlaps = np.empty((len(params), L * L, dim))
-        for c, p in enumerate(params):
-            energies[c], v = np.linalg.eigh(ops.hamiltonian(p.E_J_delta, p.E_C_delta, out=H))
-            overlaps[c] = (np.abs(bare[c] @ v[rows].reshape(dq, -1)) ** 2).reshape(L * L, dim)
-        # each point visits its bare states (q, n) in ascending bare energy,
-        # ties in (q, n) order as _visiting_order breaks them
-        order = np.argsort((ei[:, :L, None] + boson_n).reshape(-1, L * L), axis=1, kind="stable")
-        k, _, labeled = _greedy(
-            np.take_along_axis(overlaps, order[:, :, None], axis=1), DEFAULT_OVERLAP_FLOOR
-        )
-        # back to (q, n) order: column j of the visit is bare state order[:, j]
-        place = np.argsort(order, axis=1)
-        k, labeled = (np.take_along_axis(a, place, axis=1) for a in (k, labeled))
-        e = np.take_along_axis(energies, k, axis=1)
-        E = {(q, n): e[:, L * q + n] for q, n in SHIFT_LABELS}
-        found = {(q, n): labeled[:, L * q + n] for q, n in SHIFT_LABELS}
-        _store_shifts(E, found, np.array(points), chi, chi_prime, errors)
+    points, params = [], []
+    for i in range(size):
+        try:
+            params.append(_cpt_params(base, E_J_delta[i], E_C_delta[i]))
+            points.append(i)
+        except ValueError as exc:
+            errors[i] = exc
+    ops = cpt_operators(params[0]) if params else None
+    for start in range(0, len(params), CPT_CHUNK):
+        part = slice(start, start + CPT_CHUNK)
+        idx = points[part]
+        chi[idx], chi_prime[idx], errs = _cpt_solve(ops, params[part])
+        for i, exc in zip(idx, errs):
+            errors[i] = exc
     return chi, chi_prime, errors
 
 

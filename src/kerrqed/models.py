@@ -120,6 +120,9 @@ class CptParams:
         for name in ("E_J1", "E_J2", "E_C1", "E_C2", "E_Cr", "E_Lr"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("E_J1", "E_J2", "E_C1", "E_C2", "E_Cr", "E_Lr", "n_g", "phi_ext"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_charge_max < 5:
             raise ValueError("n_charge_max must be >= 5")
         if self.n_fock < 3:

@@ -18,7 +18,6 @@ from kerrqed.dispersive import (
     chi_zero_gp,
     cpt_shift_batch,
     cpt_shifts,
-    cpt_spectrum,
     extract_shifts,
     label_dressed_states,
     mixed_model_shifts,
@@ -110,9 +109,12 @@ class TestLabeling:
             n_charge_max=6,
             n_fock=8,
         )
-        ds = cpt_spectrum(p)
+        ds = cpt_reference_spectrum(p)
         assert ds.unassigned == (15,)
         assert sorted(ds.labels) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        # the per-point solve raises the first missing label's failure
+        with pytest.raises(LabelingError, match=r"^no dressed label for \(q=0, n=2\)$"):
+            cpt_shifts(p)
 
     def test_missing_label_raises(self):
         ds = mixed_model_spectrum(mixed(0.0, 0.0, n_max=5))
@@ -396,6 +398,22 @@ def per_point_shifts(p):
     return extract_shifts(per_point_spectrum(p))
 
 
+def cpt_reference_spectrum(p):
+    """The full-basis CPT path, independent of the batched solve: a full
+    eigendecompose of H and label_dressed_states for q, n < 3, with the
+    island eigenstates as the bare qubit basis."""
+    ei, vi = np.linalg.eigh(cpt_operators(p).island(p.E_J_delta))
+    return label_dressed_states(
+        eigendecompose(build_cpt_hamiltonian(p)),
+        p.space(),
+        q_levels=3,
+        n_levels=3,
+        qubit_energies=ei,
+        boson_freq=TWO_PI * p.nu_r_bare,
+        qubit_vectors=vi,
+    )
+
+
 class TestBatchedEngine:
     @seed(20261018)
     @settings(max_examples=150, deadline=None, database=None)
@@ -627,14 +645,14 @@ def sweep_point(base, E_J_delta, E_C_delta):
 
 
 def assert_batch_matches_per_point(base, E_J_delta, E_C_delta):
-    """cpt_shift_batch against cpt_shifts on each point's own CptParams: the
-    same failure, or shifts within 1e3 eps ||H||_2 / 2 pi."""
+    """cpt_shift_batch against the full-basis path on each point's own
+    CptParams: the same failure, or shifts within 1e3 eps ||H||_2 / 2 pi."""
     chi, chi_prime, errors = cpt_shift_batch(base, E_J_delta, E_C_delta)
     E_J_delta, E_C_delta = (a.ravel() for a in np.broadcast_arrays(E_J_delta, E_C_delta))
     for i, point in enumerate(zip(E_J_delta, E_C_delta)):
         try:
             p = sweep_point(base, *point)
-            rep = cpt_shifts(p)
+            rep = extract_shifts(cpt_reference_spectrum(p))
         except (ValueError, LabelingError) as exc:
             assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc), point
             assert np.isnan(chi[i]) and np.isnan(chi_prime[i])
@@ -674,6 +692,20 @@ class TestCptBatch:
         errors = assert_batch_matches_per_point(base, E_J_delta, 2e9)
         assert 0 < sum(e is not None for e in errors) < E_J_delta.size
 
+    def test_fock_cutoff_error(self):
+        # criterion 9's 35 points at n_fock = 8 against 13; the charge cutoff
+        # adds nothing at this scale.  Measured: |d chi| <= 0.298 Hz and
+        # |d chi'| <= 54.45 Hz (at n_fock = 6: 349 Hz and 55.1 kHz).  The
+        # bounds leave a margin of about 3x and 2x.
+        base = {**CPT9, "n_g": 0.5, "phi_ext": 3.0}
+        E_J_delta, E_C_delta = np.linspace(-3e9, 3e9, 5)[:, None], np.linspace(-9e9, 9e9, 7)
+        (chi, chi_prime, errors), (chi_ref, chi_prime_ref, errors_ref) = (
+            cpt_shift_batch({**base, "n_fock": n_fock}, E_J_delta, E_C_delta) for n_fock in (8, 13)
+        )
+        assert errors == errors_ref == [None] * 35
+        assert np.max(np.abs(chi - chi_ref)) <= 1.0
+        assert np.max(np.abs(chi_prime - chi_prime_ref)) <= 100.0
+
 
 class TestCptShifts:
     def test_shift_extraction_runs(self):
@@ -689,9 +721,12 @@ class TestCptShifts:
             n_charge_max=6,
             n_fock=8,
         )
-        ds = cpt_spectrum(p)
+        ds = cpt_reference_spectrum(p)
         rep = extract_shifts(ds)
         assert np.isfinite(rep.chi) and np.isfinite(rep.chi_prime)
+        tol = 1e3 * np.finfo(np.float64).eps * np.linalg.norm(build_cpt_hamiltonian(p), 2) / TWO_PI
+        got = cpt_shifts(p)
+        assert abs(got.chi - rep.chi) <= tol and abs(got.chi_prime - rep.chi_prime) <= tol
         # dressed resonator frequency stays near the bare LC value
         nu_r_dressed = sum(ds.energy(q, 1) - ds.energy(q, 0) for q in (0, 1)) / (2 * TWO_PI)
         assert nu_r_dressed == pytest.approx(p.nu_r_bare, rel=0.15)

@@ -274,3 +274,15 @@ def test_non_finite_signed_parameters_rejected(name, build):
     # these may be zero or negative, so a positivity check does not catch NaN
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         build()
+
+
+CPT_ENERGIES = ("E_J1", "E_J2", "E_C1", "E_C2", "E_Cr", "E_Lr")
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", [*CPT_ENERGIES, "n_g", "phi_ext"])
+def test_cpt_non_finite_parameters_rejected(name, value):
+    # the energies' positivity check runs first and keeps its text for NaN and -inf
+    text = "positive" if name in CPT_ENERGIES and not value > 0 else "finite"
+    with pytest.raises(ValueError, match=rf"^{name} must be {text}$"):
+        cpt(**{name: value})
