@@ -1,12 +1,13 @@
 """Photon-shot-noise dephasing: closed-form linear and nonlinear (Kerr)
 rates, and the positive-P phase-space ODEs for the off-diagonal qubit
-coherence (cubic and quadratic variants) with the quadratic closed form.
+coherence (cubic and quadratic variants). gamma_ode takes the ODE's stable
+steady state as a polynomial root; z_trajectory integrates the ODE with
+fixed-step RK4 as the independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,11 +15,6 @@ import numpy as np
 from .constants import BOLTZMANN_K, PLANCK_H, TWO_PI
 from .errors import ConvergenceError
 from .ode import rk4
-
-# gamma_ode integrates in kappa-scaled time: RK4 steps per 1/kappa, and the
-# horizon in units of 1/kappa.
-KAPPA_STEPS = 100
-KAPPA_HORIZON = 50.0
 
 
 @dataclass(frozen=True)
@@ -137,31 +133,28 @@ def gamma_from_Z(Z_ss: complex, chi_prime: float) -> DephasingResult:
         raise ValueError(
             f"negative dephasing rate {gamma:.3e}: square-root branch or sign convention error"
         )
-    return DephasingResult(max(gamma, 0.0))
+    # max keeps the first of equal values, so a zero rate is +0.0, not -0.0
+    return DephasingResult(max(0.0, gamma))
 
 
 def gamma_ode(p: DephasingParams, model: str = "cubic") -> DephasingResult:
-    """Dephasing rate from the steady state of the Z ODE.
+    """Dephasing rate from the steady state of the Z ODE, the state that
+    z_trajectory settles on from Z(0) = 0.
 
-    Integrates with step 1/(100 kappa) to steady state (relative change of Z
-    over one 1/kappa window below 1e-9, capped at 50/kappa); Z_ss is the
-    average over the final 10% of the trajectory.
+    Cubic: Z = 2 n_th / w for the root w of largest |w| of
+    w^3 - w^2 - c w - c n_th with c = 8i chi' n_th / kappa, which is f(Z) = 0
+    written in w = 2 n_th / Z; w = 1 and Z = 2 n_th at chi' = 0.
+    Quadratic: z_quadratic_analytic.
     """
-    ka = TWO_PI * p.kappa
-    dt = 1.0 / (KAPPA_STEPS * ka)
-    traj = z_trajectory(p, KAPPA_HORIZON / ka, dt, model=model)
-    Z = traj.Z
-    converged = False
-    for k in range(KAPPA_STEPS, len(Z), KAPPA_STEPS):
-        ref = max(abs(Z[k]), 1e-30)
-        if abs(Z[k] - Z[k - KAPPA_STEPS]) / ref < 1e-9:
-            converged = True
-            break
-    if not converged:
-        warnings.warn("Z ODE did not meet the steady-state criterion within 50/kappa", stacklevel=2)
-    tail = max(1, len(Z) // 10)
-    Z_ss = complex(np.mean(Z[-tail:]))
-    return gamma_from_Z(Z_ss, p.chi_prime)
+    if model == "cubic":
+        c = 8j * p.chi_prime * p.n_th / p.kappa
+        w = np.roots([1.0, -1.0, -c, -c * p.n_th])
+        Z = 2.0 * p.n_th / w[np.argmax(np.abs(w))]
+    elif model == "quadratic":
+        Z = z_quadratic_analytic(p)
+    else:
+        raise ValueError(f"model must be 'cubic' or 'quadratic', got {model!r}")
+    return gamma_from_Z(complex(Z), p.chi_prime)
 
 
 def gamma_closed_form(p: DephasingParams, combine: bool = True) -> DephasingResult:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kerrqed.dephasing import (
     DephasingParams,
@@ -91,6 +93,8 @@ class TestZOde:
         p = DephasingParams(kappa=3e6, chi_prime=0.1e6, n_th=1e-3)
         with pytest.raises(ValueError):
             z_trajectory(p, t_end=1e-6, dt=1e-10, model="quartic")
+        with pytest.raises(ValueError, match="model must be 'cubic' or 'quadratic', got 'quartic'"):
+            gamma_ode(p, model="quartic")
 
     def test_divergence_guard(self):
         p = DephasingParams(kappa=1e6, chi_prime=10e6, n_th=100)
@@ -118,6 +122,28 @@ class TestZOde:
         ref = gamma_nonlinear_analytic(p).gamma
         assert ode == pytest.approx(ref, rel=0.05)
 
+    def test_root_where_fixed_step_diverges(self):
+        # test_divergence_guard's config: RK4 at dt = 1/(100 kappa) is
+        # unstable here (|f'(Z)| dt ~ 2.9), the ODE is not
+        p = DephasingParams(kappa=1e6, chi_prime=10e6, n_th=100)
+        ka = 2 * math.pi * p.kappa
+        gamma = gamma_ode(p).gamma
+        assert gamma == pytest.approx(gamma_from_Z(cubic_root(p), p.chi_prime).gamma, rel=1e-12)
+        z_end = z_trajectory(p, t_end=50 / ka, dt=1 / (2000 * ka)).Z[-1]
+        assert gamma == pytest.approx(gamma_from_Z(z_end, p.chi_prime).gamma, rel=1e-12)
+
+    def test_zero_rate_is_positive_zero(self):
+        assert math.copysign(1.0, gamma_from_Z(0j, 1e6).gamma) == 1.0
+        # h 8 GHz / (k_B 0.54 mK) = 711: n_th = 1.6e-309, subnormal
+        for p in (
+            DephasingParams(kappa=3e6, chi_prime=1e6, n_th=0.0),
+            DephasingParams(kappa=3e6, chi_prime=0.0, n_th=1e-3),
+            DephasingParams(kappa=3e6, chi_prime=1e6, n_th=thermal_occupation(8e9, 0.54e-3)),
+        ):
+            for model in ("cubic", "quadratic"):
+                gamma = gamma_ode(p, model=model).gamma
+                assert gamma == 0.0 and math.copysign(1.0, gamma) == 1.0
+
     def test_gamma_from_z_sign_guard(self):
         with pytest.raises(ValueError):
             gamma_from_Z(1.0 + 1.0j, 1e6)
@@ -130,6 +156,43 @@ class TestZOde:
         assert traj.Z.dtype == complex
         assert traj.Z.shape == traj.times.shape == (1001,)
         assert traj.Z[0] == 0 and abs(traj.Z[-1].imag) > 0
+
+
+def cubic_root(p):
+    """gamma_ode's cubic steady state as its docstring states it: Z = 2 n_th / w
+    for the root w of largest |w| of w^3 - w^2 - c w - c n_th."""
+    c = 8j * p.chi_prime * p.n_th / p.kappa
+    w = np.roots([1.0, -1.0, -c, -c * p.n_th])
+    return complex(2.0 * p.n_th / w[np.argmax(np.abs(w))])
+
+
+class TestCubicSteadyState:
+    """gamma_ode's cubic root is the stable state that RK4 reaches from Z = 0."""
+
+    # box: kappa 0.1-100 MHz, |chi'| 1 Hz-100 MHz of either sign, n_th
+    # 1e-8-100, each log-uniform; on 3000 random configs of this box
+    # Re f'(Z) < 0 and RK4 landed within 1.3e-14 of the root
+    @seed(20261027)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        log_kappa=st.floats(5.0, 8.0),
+        log_chi_prime=st.floats(0.0, 8.0),
+        chi_sign=st.sampled_from([1.0, -1.0]),
+        log_n_th=st.floats(-8.0, 2.0),
+    )
+    def test_rk4_lands_on_stable_root(self, log_kappa, log_chi_prime, chi_sign, log_n_th):
+        p = DephasingParams(
+            kappa=10.0**log_kappa, chi_prime=chi_sign * 10.0**log_chi_prime, n_th=10.0**log_n_th
+        )
+        z = cubic_root(p)
+        assert gamma_ode(p).gamma == pytest.approx(gamma_from_Z(z, p.chi_prime).gamma, rel=1e-12)
+        ka = 2 * math.pi * p.kappa
+        slope = -4j * math.pi * p.chi_prime * (3 * z**2 + 4 * z) - ka
+        assert slope.real < 0
+        # |f'(Z)| dt <= 1/2 keeps fixed-step RK4 stable near the root
+        dt = min(1 / (100 * ka), 0.5 / abs(slope))
+        z_end = z_trajectory(p, t_end=60 / ka, dt=dt).Z[-1]
+        assert abs(z_end - z) <= 1e-10 * abs(z)
 
 
 def t_phi_at(chi, chi_prime, T, combine=True):
